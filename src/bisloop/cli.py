@@ -173,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="A:B:STEP in minutes")
     p.add_argument("--threshold", type=float, default=0.30)
     p.add_argument("--scenario", default=None, help="optional scenario template")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted for compatibility; has no effect (the sweep "
+                        "runs every lane in one vectorised loop)")
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None)
     p.set_defaults(func=cmd_tune_tf2)

@@ -9,6 +9,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -18,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .control import (ControllerConfig, ControllerState, DEFAULT_MODEL_DEMOGRAPHICS,
-                      NominalHillParams, controller_step)
+                      NominalHillParams, controller_step, inverse_hill)
 from .errors import ControllerError, ModelError, ScenarioError
 from .patient import (PkParams, PkPreset, VirtualPatient, ZERO_STATE, cohort_member,
                       derive_pk_params, hill_bis, step_rk4)
@@ -181,6 +182,148 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
         except (ModelError, ControllerError) as e:
             raise type(e)(f"step {k} (t={t:.4f} min): {e}") from e
     return traj
+
+
+# Trajectory channels _closed_loop_lanes can return, in its per-step order.
+LANE_CHANNELS = ("bis_true", "bis_measured", "bis_filtered")
+
+
+def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a, passthrough
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """lp2_step on lane arrays; the new x2 is the filter output."""
+    x1 = np.where(passthrough, w, x1 + a * (w - x1))
+    x2 = np.where(passthrough, w, x2 + a * (x1 - x2))
+    return x1, x2
+
+
+def _pk_derivatives_lanes(s: np.ndarray, uv: np.ndarray, k: tuple) -> np.ndarray:
+    """pk_derivatives on a (4, N) state; k holds per-column rate constants."""
+    neg_k1, k12, k13, k21, k31, k1e, ke0 = k
+    c1, c2, c3, ce = s
+    return np.array((neg_k1 * c1 + k21 * c2 + k31 * c3 + uv,
+                     k12 * c1 - k21 * c2,
+                     k13 * c1 - k31 * c3,
+                     k1e * c1 - ke0 * ce))
+
+
+def _rk4_lanes(s: np.ndarray, uv: np.ndarray, k: tuple, h: float) -> np.ndarray:
+    """step_rk4 on a (4, N) state; non-finite columns are left for the caller."""
+    k1 = _pk_derivatives_lanes(s, uv, k)
+    half = 0.5 * h
+    k2 = _pk_derivatives_lanes(s + half * k1, uv, k)
+    k3 = _pk_derivatives_lanes(s + half * k2, uv, k)
+    k4 = _pk_derivatives_lanes(s + h * k3, uv, k)
+    out = s + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+    return np.where(out < 0.0, 0.0, out)
+
+
+def _closed_loop_lanes(template: Scenario, patients: Sequence[VirtualPatient],
+                       tf2: Sequence[float], channel: str) -> np.ndarray:
+    """Noise-free closed loop on L lanes at once; one channel, shape (n_steps, L).
+
+    Lane j is run_closed_loop(template) with the patient patients[j], the
+    innovation filter tf2[j] and the controller's nominal curve resolved from
+    that patient (the template's nominal and noise model are not applied).
+    Everything else (h, steps, disturbance, controller settings, internal
+    model) is shared.  Each step repeats the scalar loop's arithmetic
+    operation for operation, with the plant and the internal model advanced
+    by one RK4 call over 2L columns.  Failures raise the scalar loop's error
+    type, naming the step, the time and the first failing lane.
+    """
+    column = LANE_CHANNELS.index(channel)
+    n_lanes = len(patients)
+    h = template.h
+    cfgs = []
+    for p, tf in zip(patients, tf2):
+        # pk_nominal depends only on the shared model demographics.
+        cfg, pk_nominal = resolve_controller(
+            replace(template.controller, tf2=tf, nominal=None), p)
+        cfgs.append(cfg)
+    shared = cfgs[0]
+
+    def fail(exc_type, k: int, lane: int, message) -> None:
+        raise exc_type(f"step {k} (t={k * h:.4f} min): patient {patients[lane].id}, "
+                       f"tf2={tf2[lane]:.6g} min: {message}")
+
+    def lanes(values) -> np.ndarray:
+        return np.fromiter(values, dtype=float)
+
+    ce_ref = np.empty(n_lanes)
+    for j, c in enumerate(cfgs):
+        try:
+            ce_ref[j] = inverse_hill(c.target_bis, c.nominal)
+        except ControllerError as e:
+            fail(ControllerError, 0, j, e)
+    # The nominal curve is the population one at each patient's own e0.
+    e0 = lanes(p.hill.e0 for p in patients)
+    nominal = shared.nominal
+    emax, ce50, inv_gamma = nominal.emax, nominal.ce50, 1.0 / nominal.gamma
+    hill_emax = lanes(p.hill.emax for p in patients)
+    hill_gamma = lanes(p.hill.gamma for p in patients)
+    hill_c50g = lanes(p.hill.ce50 ** p.hill.gamma for p in patients)
+
+    # Columns 0..L-1 are the patients, L..2L-1 the controller's internal model.
+    pks = [p.pk for p in patients] + [pk_nominal] * n_lanes
+    k = (lanes(-(pk.k10 + pk.k12 + pk.k13) for pk in pks),
+         *(lanes(getattr(pk, name) for pk in pks)
+           for name in ("k12", "k13", "k21", "k31", "k1e", "ke0")))
+    v1 = lanes(pk.v1 for pk in pks)
+
+    a1 = 0.0 if shared.tf1 == 0.0 else 1.0 - math.exp(-h / shared.tf1)
+    a2 = lanes(0.0 if tf == 0.0 else 1.0 - math.exp(-h / tf) for tf in tf2)
+    pass2 = np.array([tf == 0.0 for tf in tf2])
+    kp, ki, u_max = shared.kp, shared.ki, shared.u_max
+
+    s = np.zeros((4, 2 * n_lanes))
+    f1 = (e0, e0)
+    f2 = (np.zeros(n_lanes), np.zeros(n_lanes))
+    integrator = np.zeros(n_lanes)
+    out = np.empty((template.n_steps, n_lanes))
+    for step in range(template.n_steps):
+        t = step * h
+        ce, ce_model = s[3, :n_lanes], s[3, n_lanes:]
+        # At ce = 0 this gives e0 exactly, as hill_bis's ce <= 0 branch does.
+        x = ce ** hill_gamma
+        bt = e0 - hill_emax * x / (x + hill_c50g)
+        bm = bt + disturbance_at(template.disturbance, t)
+        bm = np.where(bm < 0.0, 0.0, np.where(bm > 100.0, 100.0, bm))
+        if not np.isfinite(bm).all():
+            j = int(np.argmin(np.isfinite(bm)))
+            fail(ControllerError, step, j, f"measured BIS is not finite: {bm[j]!r}")
+
+        f1 = _lp2_lanes(*f1, bm, a1, shared.tf1 == 0.0)
+        bis_f = f1[1]
+        den = emax - e0 + bis_f
+        if (den <= 0.0).any():
+            j = int(np.argmax(den <= 0.0))
+            try:
+                inverse_hill(float(bis_f[j]), cfgs[j].nominal)
+            except ControllerError as e:
+                fail(ControllerError, step, j, e)
+        # Readings at or above e0 (den > 0 there) map to 0, as in inverse_hill.
+        ce_meas = ce50 * np.maximum((e0 - bis_f) / den, 0.0) ** inv_gamma
+        f2 = _lp2_lanes(*f2, ce_meas - ce_model, a2, pass2)
+        err = ce_ref - (ce_model + f2[1])
+
+        proposed = integrator + ki * err * h
+        u_raw = kp * err + proposed
+        low, high = u_raw < 0.0, u_raw > u_max
+        # Integrating would push further into the active constraint: freeze.
+        freeze = (high & (err > 0.0)) | (low & (err < 0.0))
+        u_raw = np.where(freeze, kp * err + integrator, u_raw)
+        u = np.where(u_raw < 0.0, 0.0, np.where(u_raw > u_max, u_max, u_raw))
+        integrator = np.where(freeze, integrator, proposed)
+        if not np.isfinite(u).all():
+            j = int(np.argmin(np.isfinite(u)))
+            fail(ControllerError, step, j,
+                 f"controller state diverged: u={u[j]!r}, err={err[j]!r}")
+
+        out[step] = (bt, bm, bis_f)[column]
+        s = _rk4_lanes(s, np.concatenate((u, u)) / v1, k, h)
+        if not np.isfinite(s).all():
+            j = int(np.argmin(np.isfinite(s).all(axis=0))) % n_lanes
+            fail(ModelError, step, j, f"integration diverged: u={u[j]!r}, h={h}")
+    return out
 
 
 InfusionProfile = Sequence[tuple[float, float]]

@@ -9,12 +9,11 @@ budget.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .engine import DisturbancePulse, NoiseModel, Scenario, Trajectory, run_closed_loop
-from .errors import BisloopError
+from .engine import (LANE_CHANNELS, DisturbancePulse, NoiseModel, Scenario, Trajectory,
+                     _closed_loop_lanes)
+from .errors import BisloopError, ScenarioError
 from .patient import HillParams, VirtualPatient, builtin_cohort, hill_bis
 
 
@@ -36,8 +35,11 @@ def iae(traj: Trajectory, target_bis: float, signal: str = "bis_true") -> float:
     """
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    ys = _signal(traj, signal)
-    ts = traj.t
+    return _trapezoid_iae(traj.t, _signal(traj, signal), target_bis)
+
+
+def _trapezoid_iae(ts, ys, target_bis: float):
+    """Trapezoidal IAE of samples ys at times ts; a sample may be a row of lanes."""
     total = 0.0
     prev_t = ts[0]
     prev_e = abs(target_bis - ys[0])
@@ -156,21 +158,12 @@ def default_tuning_scenario() -> Scenario:
     )
 
 
-def _cohort_iaes(cohort: list[VirtualPatient], template: Scenario, tf2: float,
-                 signal: str) -> list[float]:
-    out = []
-    for p in cohort:
-        cfg = replace(template.controller, tf2=tf2, nominal=None)
-        scenario = replace(template, patient_id=None, patient=p, controller=cfg,
-                           noise=NoiseModel())
-        traj = run_closed_loop(scenario)
-        out.append(iae(traj, cfg.target_bis, signal=signal))
-    return out
-
-
-def _sweep_point(args) -> list[float]:
-    cohort, template, tf2, signal = args
-    return _cohort_iaes(cohort, template, tf2, signal)
+def _lane_iaes(template: Scenario, patients: list[VirtualPatient], tf2: list[float],
+               signal: str) -> list[float]:
+    """IAE of every lane of _closed_loop_lanes against the template's target."""
+    ys = _closed_loop_lanes(template, patients, tf2, signal)
+    ts = [k * template.h for k in range(template.n_steps)]
+    return _trapezoid_iae(ts, ys, template.controller.target_bis).tolist()
 
 
 def tune_tf2(grid: list[float], threshold: float = 0.30,
@@ -184,28 +177,39 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     The baseline is the same scenario with the filter removed (tf2 = 0).
     The IAE channel defaults to the measured BIS, which on the noise-free
     tuning scenario is the patient's apparent depth including the arousal
-    pulse.  Raises TuningError (carrying the full curve) when no grid point
-    meets the threshold.
+    pulse; bis_true and bis_filtered can be scored too.  Every (tf2,
+    patient) run of the sweep advances together in one vectorised loop with
+    the scalar loop's arithmetic; workers is accepted for compatibility and
+    has no effect.  Raises TuningError (carrying the full curve) when no
+    grid point meets the threshold.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
+    grid = [float(g) for g in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     if any(g < 0 for g in grid):
         raise ValueError("grid values must be >= 0")
+    if signal not in LANE_CHANNELS:
+        raise ValueError(f"tuning scores one of {LANE_CHANNELS}, got {signal!r}")
     cohort = cohort if cohort is not None else builtin_cohort()
+    if not cohort:
+        raise ValueError("cohort must be non-empty")
     template = template if template is not None else default_tuning_scenario()
+    if template.n_steps < 2:
+        raise ScenarioError(
+            f"tuning template has {template.n_steps} steps (h={template.h} min, "
+            f"duration={template.duration} min); the sweep needs at least 2")
 
-    baseline = _cohort_iaes(cohort, template, 0.0, signal)
-    jobs = [(cohort, template, tf2, signal) for tf2 in grid]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(jobs) <= 1:
-        per_point = [_sweep_point(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(_sweep_point, jobs))
-    d_values = tuple(degradation_ratio(iaes, baseline) for iaes in per_point)
+    # The baseline lanes double as the tf2 = 0 grid point.
+    settings = [0.0] + [tf2 for tf2 in grid if tf2 != 0.0]
+    iaes = _lane_iaes(template, cohort * len(settings),
+                      [tf2 for tf2 in settings for _ in cohort], signal)
+    n = len(cohort)
+    baseline = iaes[:n]
+    d_at = {tf2: degradation_ratio(iaes[i * n:(i + 1) * n], baseline)
+            for i, tf2 in enumerate(settings)}
+    d_values = tuple(d_at[tf2] for tf2 in grid)
 
     selected = None
     for tf2, d in zip(grid, d_values):

@@ -115,6 +115,18 @@ class TestTuneCommand:
     def test_bad_grid_spec(self, capsys):
         assert main(["tune-tf2", "--grid", "nope"]) == 2
 
+    def test_controller_failure_in_a_lane_exits_4(self, scenario_file, capsys):
+        path = scenario_file({"duration_min": 30, "h_min": 5.0})
+        assert main(["tune-tf2", "--grid", "0.5:0.5:0.5", "--scenario", path]) == 4
+        err = capsys.readouterr().err
+        assert "step 1 (t=5.0000 min): patient" in err
+
+    @pytest.mark.parametrize("h", [40.0, 29.999])
+    def test_template_shorter_than_two_steps_exits_2(self, scenario_file, capsys, h):
+        path = scenario_file({"duration_min": 30, "h_min": h})
+        assert main(["tune-tf2", "--grid", "0.5:0.5:0.5", "--scenario", path]) == 2
+        assert f"h={h} min, duration=30.0 min" in capsys.readouterr().err
+
     def test_infeasible_threshold(self, capsys):
         rc = main(["tune-tf2", "--grid", "5:5:1", "--threshold", "0.000001"])
         assert rc == 1

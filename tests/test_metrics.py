@@ -1,10 +1,17 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bisloop import (Scenario, Trajectory, TuningError, ce_at_bis, ce_bis_curve,
-                     cohort_member, cohort_target_window, degradation_ratio, iae,
-                     induction_time, run_closed_loop, summarize, tune_tf2)
+from bisloop import (DEFAULT_TF2_MIN, ControllerError, DisturbancePulse, ModelError,
+                     Scenario, ScenarioError, Trajectory, TuningError, ce_at_bis,
+                     ce_bis_curve, cohort_member, cohort_target_window,
+                     degradation_ratio, iae, induction_time, run_closed_loop,
+                     summarize, tune_tf2)
+from bisloop import metrics
+from bisloop.metrics import _lane_iaes, default_tuning_scenario
 
 
 def synthetic_trajectory(values, h=1 / 60):
@@ -170,6 +177,84 @@ class TestTuneTf2:
             tune_tf2([0.5, 0.25])
         with pytest.raises(ValueError):
             tune_tf2([-1.0, 0.5])
+        with pytest.raises(ValueError):
+            tune_tf2([0.5], cohort=[])
+
+    @pytest.mark.parametrize("signal", ["u", "ce_true", "nope"])
+    def test_non_bis_signal_rejected(self, signal):
+        with pytest.raises(ValueError, match="tuning scores one of"):
+            tune_tf2([0.5], signal=signal)
+
+    def test_zero_grid_point_reuses_baseline_lanes(self, monkeypatch):
+        lane_counts = []
+        kernel = metrics._closed_loop_lanes
+
+        def counting(template, patients, tf2, signal):
+            lane_counts.append(len(patients))
+            return kernel(template, patients, tf2, signal)
+
+        monkeypatch.setattr(metrics, "_closed_loop_lanes", counting)
+        result = tune_tf2([0.0, 0.5], threshold=math.inf)
+        assert lane_counts == [2 * 13]
+        assert result.d_values[0] == 0.0
+        assert result.d_values[1] > 0.0
+        assert all(type(d) is float for d in result.d_values)
+        assert type(result.selected_tf2) is float
+
+    def test_failing_lane_named_with_step_and_time(self):
+        template = replace(default_tuning_scenario(), h=5.0)
+        with pytest.raises(ControllerError,
+                           match=r"^step 1 \(t=5\.0000 min\): patient \d+, tf2=0 min: "
+                                 r"inverse Hill out of domain"):
+            tune_tf2([0.5], template=template)
+
+    @pytest.mark.parametrize("h", [40.0, 29.999])
+    def test_template_shorter_than_two_steps_rejected(self, h):
+        template = replace(default_tuning_scenario(), h=h)
+        with pytest.raises(ScenarioError, match=rf"h={h} min, duration=30.0 min"):
+            tune_tf2([0.5], template=template)
+
+
+# A short tuning-style run: induction, then a +10 BIS pulse at t = 3 min.
+SHORT_TEMPLATE = replace(default_tuning_scenario(), patient_id=None, duration=6.0,
+                         disturbance=(DisturbancePulse(3.0, 1.0, 10.0),))
+LANES = st.lists(st.tuples(st.integers(1, 13),
+                           st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
+                 min_size=1, max_size=4)
+
+
+class TestLaneParity:
+    """Every lane of the batched sweep loop matches the scalar run_closed_loop."""
+
+    @pytest.mark.parametrize("signal", ["bis_true", "bis_measured", "bis_filtered"])
+    @settings(max_examples=20)
+    @given(lanes=LANES, kp=st.floats(0.0, 40.0), ki=st.floats(0.0, 10.0))
+    def test_lane_iae_matches_scalar_run(self, signal, lanes, kp, ki):
+        template = replace(SHORT_TEMPLATE,
+                           controller=replace(SHORT_TEMPLATE.controller, kp=kp, ki=ki))
+        patients = [cohort_member(pid) for pid, _ in lanes]
+        tf2 = [t for _, t in lanes]
+        try:
+            expected = [
+                iae(run_closed_loop(replace(template, patient=p,
+                                            controller=replace(template.controller, tf2=t))),
+                    template.controller.target_bis, signal=signal)
+                for p, t in zip(patients, tf2)]
+        except (ControllerError, ModelError) as e:
+            with pytest.raises(type(e)):
+                _lane_iaes(template, patients, tf2, signal)
+            return
+        got = _lane_iaes(template, patients, tf2, signal)
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_cohort_matches_scalar_on_tuning_scenario(self, cohort):
+        template = replace(default_tuning_scenario(), patient_id=None)
+        expected = [
+            iae(run_closed_loop(replace(template, patient=p)), 50.0, signal="bis_measured")
+            for p in cohort]
+        got = _lane_iaes(template, cohort, [DEFAULT_TF2_MIN] * len(cohort), "bis_measured")
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestCeBisCurve:
