@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -96,8 +96,12 @@ class Scenario:
 
     @property
     def n_steps(self) -> int:
-        # duration/h with a final partial step truncated
-        return int(self.duration / self.h + 1e-9)
+        return _step_count(self.duration, self.h)
+
+
+def _step_count(duration: float, h: float) -> int:
+    # duration/h with a final partial step truncated
+    return int(duration / h + 1e-9)
 
 
 @dataclass
@@ -125,6 +129,9 @@ class Trajectory:
         return len(self.t)
 
 
+TRAJECTORY_FIELDS = tuple(f.name for f in fields(Trajectory))
+
+
 def resolve_controller(cfg: ControllerConfig, patient: VirtualPatient
                        ) -> tuple[ControllerConfig, PkParams]:
     """Fill per-run controller pieces: nominal baseline and internal-model PK.
@@ -142,6 +149,40 @@ def resolve_controller(cfg: ControllerConfig, patient: VirtualPatient
     return resolved, pk_nominal
 
 
+def _run(patient: VirtualPatient, duration: float, h: float,
+         disturbance: Sequence[DisturbancePulse], noise: NoiseModel, seed: int,
+         control: Callable[[float, float], tuple]) -> Trajectory:
+    """The step loop both runners share.
+
+    Each step measures BIS, asks control(t, measured_bis) for
+    (u, bis_filtered, ce_model, i_t, ce_ref), records the step, then
+    advances the plant under u held constant for the step.  Failures abort
+    the run with the failing step index attached.
+    """
+    n_steps = _step_count(duration, h)
+    if n_steps < 1:
+        raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
+    rng = np.random.default_rng(seed)
+    hill, pk = patient.hill, patient.pk
+    state = ZERO_STATE
+    # Every step's values in TRAJECTORY_FIELDS order, in one flat list of
+    # floats: per-step tuples kept alive would wake the cyclic GC.
+    values: list[float | None] = []
+    for k in range(n_steps):
+        t = k * h
+        try:
+            bt = hill_bis(state.ce, hill)
+            bm = bt + disturbance_at(disturbance, t) + noise_sample(noise, rng)
+            bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
+            u, bis_f, ce_model, i_t, ce_ref = control(t, bm)
+            values.extend((t, bt, bm, bis_f, u, *state, ce_model, i_t, ce_ref))
+            state = step_rk4(state, u, pk, h)
+        except (ModelError, ControllerError) as e:
+            raise type(e)(f"step {k} (t={t:.4f} min): {e}") from e
+    n = len(TRAJECTORY_FIELDS)
+    return Trajectory(*(values[i::n] for i in range(n)))
+
+
 def run_closed_loop(scenario: Scenario) -> Trajectory:
     """Simulate the full feedback loop and record every signal.
 
@@ -152,36 +193,15 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     """
     patient = scenario.resolve_patient()
     cfg, pk_nominal = resolve_controller(scenario.controller, patient)
-    rng = np.random.default_rng(scenario.seed)
     cs = ControllerState.initial(cfg, awake_bis=patient.hill.e0)
-    state = ZERO_STATE
-    traj = Trajectory()
     h = scenario.h
-    hill = patient.hill
-    pk_true = patient.pk
-    for k in range(scenario.n_steps):
-        t = k * h
-        try:
-            bt = hill_bis(state.ce, hill)
-            bm = bt + disturbance_at(scenario.disturbance, t) + noise_sample(scenario.noise, rng)
-            bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
-            u = controller_step(cs, cfg, pk_nominal, bm, h)
-            traj.t.append(t)
-            traj.bis_true.append(bt)
-            traj.bis_measured.append(bm)
-            traj.bis_filtered.append(cs.last_bis_filtered)
-            traj.u.append(u)
-            traj.c1.append(state.c1)
-            traj.c2.append(state.c2)
-            traj.c3.append(state.c3)
-            traj.ce_true.append(state.ce)
-            traj.ce_model.append(cs.last_model_ce)
-            traj.i_t.append(cs.last_innovation)
-            traj.ce_ref.append(cs.last_ce_ref)
-            state = step_rk4(state, u, pk_true, h)
-        except (ModelError, ControllerError) as e:
-            raise type(e)(f"step {k} (t={t:.4f} min): {e}") from e
-    return traj
+
+    def control(t: float, bm: float) -> tuple:
+        u = controller_step(cs, cfg, pk_nominal, bm, h)
+        return u, cs.last_bis_filtered, cs.last_model_ce, cs.last_innovation, cs.last_ce_ref
+
+    return _run(patient, scenario.duration, h, scenario.disturbance, scenario.noise,
+                scenario.seed, control)
 
 
 # Trajectory channels _closed_loop_lanes can return, in its per-step order.
@@ -351,44 +371,15 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     (start_min, rate) breakpoints sorted by start.  Controller columns are
     recorded as None.
     """
-    if duration <= 0 or h <= 0:
+    if not (duration > 0 and h > 0):
         raise ScenarioError("duration and h must be positive")
     if isinstance(profile, (int, float)):
-        profile = ((0.0, float(profile)),)
-    else:
-        profile = tuple((float(s), float(r)) for s, r in profile)
-        if any(r < 0 for _, r in profile):
-            raise ScenarioError("infusion rates must be >= 0")
-    noise = noise or NoiseModel()
-    rng = np.random.default_rng(seed)
-    state = ZERO_STATE
-    traj = Trajectory()
-    n = int(duration / h + 1e-9)
-    for k in range(n):
-        t = k * h
-        try:
-            u = _rate_at(profile, t)
-            if u < 0:
-                raise ModelError(f"infusion rate must be >= 0, got {u}")
-            bt = hill_bis(state.ce, patient.hill)
-            bm = bt + disturbance_at(disturbance, t) + noise_sample(noise, rng)
-            bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
-            traj.t.append(t)
-            traj.bis_true.append(bt)
-            traj.bis_measured.append(bm)
-            traj.bis_filtered.append(None)
-            traj.u.append(u)
-            traj.c1.append(state.c1)
-            traj.c2.append(state.c2)
-            traj.c3.append(state.c3)
-            traj.ce_true.append(state.ce)
-            traj.ce_model.append(None)
-            traj.i_t.append(None)
-            traj.ce_ref.append(None)
-            state = step_rk4(state, u, patient.pk, h)
-        except ModelError as e:
-            raise type(e)(f"step {k} (t={t:.4f} min): {e}") from e
-    return traj
+        profile = ((0.0, profile),)
+    profile = tuple((float(s), float(r)) for s, r in profile)
+    if not all(r >= 0 for _, r in profile):
+        raise ScenarioError("infusion rates must be >= 0")
+    return _run(patient, duration, h, disturbance, noise or NoiseModel(), seed,
+                lambda t, bm: (_rate_at(profile, t), None, None, None, None))
 
 
 def run_many(scenarios: Iterable[Scenario], workers: int | None = None) -> list[Trajectory]:

@@ -320,21 +320,21 @@ _COHORT_ROWS: tuple[tuple, ...] = (
 AVERAGE_PATIENT_ID = 13
 
 
+def _member(row: tuple, preset: PkPreset) -> VirtualPatient:
+    pid, age, height, weight, sex, ce50, gamma, e0, emax = row
+    demo = Demographics(age=age, height_cm=float(height), weight_kg=float(weight), sex=sex)
+    hill = HillParams(e0=e0, emax=emax, ce50=ce50, gamma=gamma)
+    return VirtualPatient.from_demographics(pid, demo, hill, preset,
+                                            fictitious_average=(pid == AVERAGE_PATIENT_ID))
+
+
 def builtin_cohort(preset: PkPreset = PkPreset.SCHNIDER_CORRECTED) -> list[VirtualPatient]:
     """The built-in 13-patient cohort with PK derived under the given preset.
 
     Raises NonPhysicalParameterError for presets that cannot produce a valid
     PK set for every member (AS_PUBLISHED does not).
     """
-    cohort = []
-    for pid, age, height, weight, sex, ce50, gamma, e0, emax in _COHORT_ROWS:
-        demo = Demographics(age=age, height_cm=float(height),
-                            weight_kg=float(weight), sex=sex)
-        hill = HillParams(e0=e0, emax=emax, ce50=ce50, gamma=gamma)
-        cohort.append(VirtualPatient.from_demographics(
-            pid, demo, hill, preset,
-            fictitious_average=(pid == AVERAGE_PATIENT_ID)))
-    return cohort
+    return [_member(row, preset) for row in _COHORT_ROWS]
 
 
 def cohort_member(patient_id: int,
@@ -342,11 +342,5 @@ def cohort_member(patient_id: int,
     """Single cohort member by id (1-13)."""
     for row in _COHORT_ROWS:
         if row[0] == patient_id:
-            pid, age, height, weight, sex, ce50, gamma, e0, emax = row
-            demo = Demographics(age=age, height_cm=float(height),
-                                weight_kg=float(weight), sex=sex)
-            hill = HillParams(e0=e0, emax=emax, ce50=ce50, gamma=gamma)
-            return VirtualPatient.from_demographics(
-                pid, demo, hill, preset,
-                fictitious_average=(pid == AVERAGE_PATIENT_ID))
+            return _member(row, preset)
     raise ModelError(f"unknown patient id {patient_id} (cohort has 1-13)")

@@ -8,10 +8,12 @@ every validation failure names the offending key.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .control import ControllerConfig, NominalHillParams
-from .engine import (DisturbancePulse, NoiseKind, NoiseModel, Scenario, Trajectory)
+from .engine import (TRAJECTORY_FIELDS, DisturbancePulse, NoiseKind, NoiseModel,
+                     Scenario, Trajectory)
 from .errors import ModelError, ScenarioError
 from .metrics import MetricsReport, SweepResult
 from .patient import (Demographics, HillParams, PkPreset, Sex, VirtualPatient,
@@ -45,7 +47,12 @@ def _number(obj: dict, key: str, where: str, default: float | None = None,
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ScenarioError(f"{where}.{key}: must be finite, got {v}")
     if positive and v <= 0:
         raise ScenarioError(f"{where}.{key}: must be > 0, got {v}")
     if non_negative and v < 0:
@@ -167,6 +174,9 @@ def parse_scenario(text: str) -> Scenario:
         else ControllerConfig()
     noise = _parse_noise(raw["noise"]) if "noise" in raw else NoiseModel()
     disturbance = _parse_disturbance(raw["disturbance"]) if "disturbance" in raw else ()
+    seed = _integer(raw, "seed", "scenario", 0)
+    if seed < 0:
+        raise ScenarioError(f"scenario.seed: must be >= 0, got {seed}")
 
     return Scenario(
         patient_id=patient_id,
@@ -177,7 +187,7 @@ def parse_scenario(text: str) -> Scenario:
         h=_number(raw, "h_min", "scenario", 1.0 / 60.0, positive=True),
         noise=noise,
         disturbance=disturbance,
-        seed=_integer(raw, "seed", "scenario", 0),
+        seed=seed,
     )
 
 
@@ -225,13 +235,8 @@ def write_trajectory_csv(traj: Trajectory) -> str:
     Open-loop runs emit empty fields for the controller columns.
     """
     lines = [TRAJECTORY_CSV_HEADER]
-    for i in range(len(traj)):
-        lines.append(",".join((
-            _fmt(traj.t[i]), _fmt(traj.bis_true[i]), _fmt(traj.bis_measured[i]),
-            _fmt(traj.bis_filtered[i]), _fmt(traj.u[i]), _fmt(traj.c1[i]),
-            _fmt(traj.c2[i]), _fmt(traj.c3[i]), _fmt(traj.ce_true[i]),
-            _fmt(traj.ce_model[i]), _fmt(traj.i_t[i]), _fmt(traj.ce_ref[i]),
-        )))
+    for row in zip(*(getattr(traj, name) for name in TRAJECTORY_FIELDS)):
+        lines.append(",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -72,6 +72,23 @@ class TestSimulate:
                               "controller": {"target_bis": 98.0}})
         assert main(["simulate", "--scenario", path]) == 4
 
+    @pytest.mark.parametrize("doc", [
+        {"duration_min": float("nan")},
+        {"h_min": float("inf")},
+        {"disturbance": [{"start_min": 1, "duration_min": 1,
+                          "amplitude_bis": float("nan")}]},
+        {"patient": {"id": 1, "age": 30, "height_cm": 170, "weight_kg": 70, "sex": "M",
+                     "ce50": float("nan"), "gamma": 2, "e0": 95, "emax": 90}},
+        {"seed": -1},
+    ])
+    def test_bad_number_exit_code(self, scenario_file, capsys, doc):
+        assert main(["simulate", "--scenario", scenario_file(doc)]) == 2
+
+    def test_run_without_steps_exits_2(self, scenario_file, capsys):
+        path = scenario_file({"h_min": 2, "duration_min": 1})
+        assert main(["simulate", "--scenario", path]) == 2
+        assert "h=2.0 min, duration=1.0 min" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["simulate", "--scenario", "/nonexistent/x.json"]) == 2
 
@@ -85,6 +102,13 @@ class TestOpenLoopCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 61
         assert lines[1].split(",")[3] == ""  # bis_filtered empty
+
+    @pytest.mark.parametrize("flag, value", [("--rate", "-5"), ("--rate", "nan"),
+                                             ("--duration", "nan")])
+    def test_bad_input_exits_2(self, capsys, flag, value):
+        # argparse keeps the last value given for a repeated flag
+        assert main(["open-loop", "--patient", "13", "--rate", "10", "--duration", "1",
+                     flag, value]) == 2
 
 
 class TestCohortCommand:

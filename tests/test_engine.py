@@ -189,6 +189,15 @@ class TestOpenLoop:
         with pytest.raises(ScenarioError):
             run_open_loop(p, ((0.0, -5.0),), duration=1.0)
 
+    @pytest.mark.parametrize("profile", [-5.0, float("nan"), ((0.0, float("nan")),)])
+    def test_negative_or_nan_rate_rejected(self, profile):
+        with pytest.raises(ScenarioError, match="infusion rates must be >= 0"):
+            run_open_loop(cohort_member(13), profile, duration=1.0)
+
+    def test_run_without_steps_rejected(self):
+        with pytest.raises(ScenarioError, match="h=0.02 min, duration=0.01 min"):
+            run_open_loop(cohort_member(13), 10.0, duration=0.01, h=0.02)
+
 
 class TestStepSizeSensitivity:
     def test_open_loop_halving_h(self):

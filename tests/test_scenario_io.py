@@ -1,11 +1,18 @@
+import hashlib
 import json
 
 import pytest
 
-from bisloop import (NoiseKind, PkPreset, Scenario, ScenarioError, Trajectory,
-                     cohort_member, parse_scenario, run_closed_loop, run_open_loop,
-                     scenario_to_dict, write_trajectory_csv)
+from bisloop import (DisturbancePulse, NoiseKind, NoiseModel, PkPreset, Scenario,
+                     ScenarioError, Trajectory, cohort_member, parse_scenario,
+                     run_closed_loop, run_open_loop, scenario_to_dict,
+                     write_trajectory_csv)
+from bisloop.engine import TRAJECTORY_FIELDS
 from bisloop.scenario_io import TRAJECTORY_CSV_HEADER, cohort_csv
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestParseScenario:
@@ -47,6 +54,24 @@ class TestParseScenario:
             parse_scenario('{"duration_min": -5}')
         with pytest.raises(ScenarioError, match="sigma_bis"):
             parse_scenario('{"noise": {"kind": "gaussian", "sigma_bis": -1}}')
+
+    @pytest.mark.parametrize("doc, key", [
+        ('{"duration_min": NaN}', "duration_min"),
+        ('{"h_min": Infinity}', "h_min"),
+        ('{"h_min": -Infinity}', "h_min"),
+        ('{"duration_min": 1' + "0" * 400 + '}', "duration_min"),
+        ('{"disturbance": [{"start_min": 1, "duration_min": 1, "amplitude_bis": NaN}]}',
+         "amplitude_bis"),
+        ('{"patient": {"id": 1, "age": 30, "height_cm": 170, "weight_kg": 70, "sex": "M",'
+         ' "ce50": NaN, "gamma": 2, "e0": 95, "emax": 90}}', "ce50"),
+    ])
+    def test_non_finite_number_names_key(self, doc, key):
+        with pytest.raises(ScenarioError, match=f"{key}: must be finite"):
+            parse_scenario(doc)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ScenarioError, match="seed: must be >= 0"):
+            parse_scenario('{"seed": -1}')
 
     def test_malformed_json(self):
         with pytest.raises(ScenarioError, match="malformed"):
@@ -129,6 +154,33 @@ class TestTrajectoryCsv:
         for col in ("bis_filtered", "ce_model", "i_t", "ce_ref"):
             assert row[header.index(col)] == ""
         assert row[header.index("u_mg_min")] == "10"
+
+    def test_header_has_one_column_per_field_in_order(self):
+        columns = TRAJECTORY_CSV_HEADER.split(",")
+        assert len(columns) == len(TRAJECTORY_FIELDS)
+        for column, name in zip(columns, TRAJECTORY_FIELDS):
+            assert column == name or column.startswith(name + "_")
+
+    # The digests pin the CSV bytes of a noisy, pulsed closed-loop run and of
+    # a multi-breakpoint open-loop run, as written before the engine's two
+    # runners were merged into one step loop.
+    def test_closed_loop_csv_bytes_pinned(self):
+        s = Scenario(patient_id=7, duration=10.0, seed=3,
+                     noise=NoiseModel(NoiseKind.GAUSSIAN, 2.0),
+                     disturbance=(DisturbancePulse(2.0, 1.0, 10.0),
+                                  DisturbancePulse(6.0, 1.5, -8.0)))
+        text = write_trajectory_csv(run_closed_loop(s))
+        assert _sha256(text) == \
+            "e3ffff28cdc49a1f5818d94ccb25074111f7b6f0b748ea5833848ae0f4be3cc5"
+
+    def test_open_loop_csv_bytes_pinned(self):
+        profile = ((0.0, 40.0), (1.0, 12.5), (4.0, 0.0), (6.5, 25.0))
+        traj = run_open_loop(cohort_member(4), profile, duration=10.0,
+                             noise=NoiseModel(NoiseKind.GAUSSIAN, 1.5),
+                             disturbance=(DisturbancePulse(3.0, 2.0, -6.0),), seed=5)
+        text = write_trajectory_csv(traj)
+        assert _sha256(text) == \
+            "bc72cb34307d9e3e16082f302991ba61cccdc9e572be86b059c3fd8dae448f84"
 
 
 class TestCohortCsv:
