@@ -14,9 +14,9 @@ from .engine import (DisturbancePulse, NoiseKind, NoiseModel, Scenario, Trajecto
                      run_open_loop)
 from .errors import (BisloopError, ControllerError, ModelError,
                      NonPhysicalParameterError, ScenarioError)
-from .metrics import (MetricsReport, SweepResult, TuningError, ce_at_bis,
-                      ce_bis_curve, cohort_target_window, degradation_ratio,
-                      iae, induction_time, summarize, tune_tf2)
+from .metrics import (MetricsReport, SweepResult, TuningError, ce_bis_curve,
+                      cohort_target_window, degradation_ratio, iae, induction_time,
+                      summarize, tune_tf2)
 from .patient import (Demographics, HillParams, PatientState, PkParams, PkPreset,
                       Sex, VirtualPatient, builtin_cohort, cohort_member,
                       derive_pk_params, hill_bis, lean_body_mass, pk_derivatives,
@@ -33,7 +33,7 @@ __all__ = [
     "Lp2State", "MetricsReport", "ModelError", "NoiseKind", "NoiseModel",
     "NominalHillParams", "NonPhysicalParameterError", "PatientState", "PkParams",
     "PkPreset", "Saturation", "Scenario", "ScenarioError", "Sex", "SweepResult",
-    "Trajectory", "TuningError", "VirtualPatient", "builtin_cohort", "ce_at_bis",
+    "Trajectory", "TuningError", "VirtualPatient", "builtin_cohort",
     "ce_bis_curve", "cohort_csv", "cohort_member", "cohort_target_window",
     "controller_step", "degradation_ratio", "derive_pk_params", "disturbance_at",
     "hill_bis", "iae", "induction_time", "inverse_hill", "lean_body_mass",

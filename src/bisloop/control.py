@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ControllerError
-from .patient import Demographics, PatientState, PkParams, Sex, ZERO_STATE, step_rk4
+from .patient import (Demographics, HillParams, PatientState, PkParams, Sex, ZERO_STATE,
+                      step_rk4)
 
 # Population-average Hill parameters used by the controller; only the awake
 # baseline e0 is measurable per patient before induction.
@@ -46,22 +47,23 @@ class NominalHillParams:
     ce50: float = POPULATION_CE50
 
 
-def inverse_hill(bis: float, nominal: NominalHillParams) -> float:
-    """Effect-site concentration (mg/L) implied by a BIS reading.
+def inverse_hill(bis: float, curve: NominalHillParams | HillParams) -> float:
+    """Effect-site concentration (mg/L) at which a Hill curve reads bis.
 
-    Inverts the sigmoid: ce50 * ((e0 - bis)/(emax - e0 + bis))^(1/gamma).
-    Readings at or above the awake baseline map to 0 (no drug needed).
-    Raises ControllerError when emax - e0 + bis <= 0, where the nominal
-    curve has no preimage.
+    curve is the controller's nominal curve or a patient's own HillParams;
+    both carry e0, emax, ce50 and gamma.  Inverts the sigmoid:
+    ce50 * ((e0 - bis)/(emax - e0 + bis))^(1/gamma).  Readings at or above
+    the awake baseline map to 0 (no drug needed).  Raises ControllerError
+    when emax - e0 + bis <= 0, where the curve has no preimage.
     """
-    if bis >= nominal.e0:
+    if bis >= curve.e0:
         return 0.0
-    den = nominal.emax - nominal.e0 + bis
+    den = curve.emax - curve.e0 + bis
     if den <= 0.0:
         raise ControllerError(
-            f"inverse Hill out of domain: bis={bis:.4g} with e0={nominal.e0:.4g}, "
-            f"emax={nominal.emax:.4g}")
-    return nominal.ce50 * ((nominal.e0 - bis) / den) ** (1.0 / nominal.gamma)
+            f"inverse Hill out of domain: bis={bis:.4g} with e0={curve.e0:.4g}, "
+            f"emax={curve.emax:.4g}")
+    return curve.ce50 * ((curve.e0 - bis) / den) ** (1.0 / curve.gamma)
 
 
 @dataclass
@@ -139,10 +141,16 @@ class ControllerConfig:
             raise ControllerError("controller gains must be >= 0")
         if self.u_max <= 0:
             raise ControllerError(f"u_max must be positive, got {self.u_max}")
-        if self.nominal is not None and not (0 < self.target_bis < self.nominal.e0):
+        if self.nominal is None:
+            return
+        e0, emax = self.nominal.e0, self.nominal.emax
+        if not (0 < self.target_bis < e0):
+            raise ControllerError(f"target_bis must lie in (0, e0={e0}), got {self.target_bis}")
+        # inverse_hill's domain test, so an accepted target always inverts.
+        if emax - e0 + self.target_bis <= 0.0:
             raise ControllerError(
-                f"target_bis must lie in (0, e0={self.nominal.e0}), "
-                f"got {self.target_bis}")
+                f"target_bis={self.target_bis} is below the nominal curve's reach "
+                f"e0 - emax = {e0} - {emax}")
 
 
 @dataclass
@@ -158,7 +166,6 @@ class ControllerState:
     f2: Lp2State
     model_state: PatientState = ZERO_STATE
     integrator: float = 0.0
-    last_u: float = 0.0
     last_bis_filtered: float = 0.0
     last_innovation: float = 0.0
     last_ce_ref: float = 0.0
@@ -207,7 +214,6 @@ def controller_step(cs: ControllerState, cfg: ControllerConfig,
         raise ControllerError(f"controller state diverged: u={u!r}, err={err!r}")
 
     cs.model_state = step_rk4(cs.model_state, u, pk_nominal, h)
-    cs.last_u = u
     cs.last_bis_filtered = bis_f
     cs.last_innovation = innovation
     cs.last_ce_ref = ce_ref

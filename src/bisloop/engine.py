@@ -38,8 +38,8 @@ class NoiseModel:
     sigma: float = 2.0    # BIS units
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ScenarioError(f"noise sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ScenarioError(f"noise sigma must be finite and >= 0, got {self.sigma}")
 
 
 def noise_sample(model: NoiseModel, rng: np.random.Generator) -> float:
@@ -81,10 +81,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ScenarioError(f"duration must be positive, got {self.duration}")
-        if self.h <= 0:
-            raise ScenarioError(f"h must be positive, got {self.h}")
+        _check_run(self.duration, self.h, self.seed)
         if self.patient_id is not None and self.patient is not None:
             raise ScenarioError("give either patient_id or an explicit patient, not both")
 
@@ -97,6 +94,15 @@ class Scenario:
     @property
     def n_steps(self) -> int:
         return _step_count(self.duration, self.h)
+
+
+def _check_run(duration: float, h: float, seed: int) -> None:
+    """Reject run settings no run can use; zero-step runs are left to _run."""
+    for name, value in (("duration", duration), ("h", h)):
+        if not 0 < value < math.inf:
+            raise ScenarioError(f"{name} must be finite and positive, got {value}")
+    if seed < 0:
+        raise ScenarioError(f"seed must be >= 0, got {seed}")
 
 
 def _step_count(duration: float, h: float) -> int:
@@ -268,12 +274,8 @@ def _closed_loop_lanes(template: Scenario, patients: Sequence[VirtualPatient],
     def lanes(values) -> np.ndarray:
         return np.fromiter(values, dtype=float)
 
-    ce_ref = np.empty(n_lanes)
-    for j, c in enumerate(cfgs):
-        try:
-            ce_ref[j] = inverse_hill(c.target_bis, c.nominal)
-        except ControllerError as e:
-            fail(ControllerError, 0, j, e)
+    # resolve_controller validated every target, so each one inverts.
+    ce_ref = lanes(inverse_hill(c.target_bis, c.nominal) for c in cfgs)
     # The nominal curve is the population one at each patient's own e0.
     e0 = lanes(p.hill.e0 for p in patients)
     nominal = shared.nominal
@@ -371,13 +373,12 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     (start_min, rate) breakpoints sorted by start.  Controller columns are
     recorded as None.
     """
-    if not (duration > 0 and h > 0):
-        raise ScenarioError("duration and h must be positive")
+    _check_run(duration, h, seed)
     if isinstance(profile, (int, float)):
         profile = ((0.0, profile),)
     profile = tuple((float(s), float(r)) for s, r in profile)
-    if not all(r >= 0 for _, r in profile):
-        raise ScenarioError("infusion rates must be >= 0")
+    if not all(0 <= r < math.inf for _, r in profile):
+        raise ScenarioError("infusion rates must be >= 0 and finite")
     return _run(patient, duration, h, disturbance, noise or NoiseModel(), seed,
                 lambda t, bm: (_rate_at(profile, t), None, None, None, None))
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .control import inverse_hill
 from .engine import (LANE_CHANNELS, DisturbancePulse, NoiseModel, Scenario, Trajectory,
                      _closed_loop_lanes)
 from .errors import BisloopError, ScenarioError
-from .patient import HillParams, VirtualPatient, builtin_cohort, hill_bis
+from .patient import VirtualPatient, builtin_cohort, hill_bis
 
 
 def _signal(traj: Trajectory, name: str) -> list[float]:
@@ -234,23 +235,14 @@ def ce_bis_curve(patient: VirtualPatient, ce_max: float,
     return [(i * step, hill_bis(i * step, patient.hill)) for i in range(n_points)]
 
 
-def ce_at_bis(hill: HillParams, bis: float) -> float:
-    """Effect-site concentration at which the patient's own curve hits bis."""
-    if bis >= hill.e0:
-        return 0.0
-    den = hill.emax - hill.e0 + bis
-    if den <= 0:
-        raise ValueError(f"bis={bis} is below the reach of this Hill curve")
-    return hill.ce50 * ((hill.e0 - bis) / den) ** (1.0 / hill.gamma)
-
-
 def cohort_target_window(cohort: list[VirtualPatient], target_bis: float = 50.0,
                          lo: float = 3.0, hi: float = 9.0
                          ) -> list[tuple[int, float, bool]]:
     """Per patient: the ce reaching the target BIS and whether it falls in
-    the expected clinical window."""
+    the expected clinical window.  Raises ControllerError when a patient's
+    curve cannot reach target_bis."""
     out = []
     for p in cohort:
-        ce = ce_at_bis(p.hill, target_bis)
+        ce = inverse_hill(target_bis, p.hill)
         out.append((p.id, ce, lo <= ce <= hi))
     return out

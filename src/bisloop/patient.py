@@ -13,7 +13,7 @@ constants in 1/min, infusion rates in mg/min, time in minutes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -95,48 +95,42 @@ def lean_body_mass(sex: Sex | str, weight_kg: float, height_cm: float) -> float:
 
 @dataclass(frozen=True)
 class PkParams:
-    """Compartment volumes, clearances and rate constants.
+    """Compartment volumes and clearances, and the rate constants they imply.
 
-    The rate constants are clearance/volume ratios; clearances are retained
-    for reporting.  Consistency of the two representations is enforced at
-    construction.
+    Only volumes, clearances and ke0 are given; the rate constants are
+    clearance/volume ratios set once at construction (k1e = ke0), so the two
+    representations cannot disagree.
     """
 
     v1: float
     v2: float
     v3: float
-    k10: float
-    k12: float
-    k13: float
-    k21: float
-    k31: float
-    k1e: float
-    ke0: float
     cl1: float
     cl2: float
     cl3: float
+    ke0: float = KE0_PER_MIN
+    k10: float = field(init=False)
+    k12: float = field(init=False)
+    k13: float = field(init=False)
+    k21: float = field(init=False)
+    k31: float = field(init=False)
+    k1e: float = field(init=False)
 
     def __post_init__(self):
         for name in ("v1", "v2", "v3"):
             if getattr(self, name) <= 0:
                 raise ModelError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("k10", "k12", "k13", "k21", "k31", "k1e", "ke0"):
-            if getattr(self, name) < 0:
-                raise ModelError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.cl1 <= 0:
             raise NonPhysicalParameterError(
                 f"non-physical PK parameters: cl1={self.cl1:.6g} L/min", value=self.cl1)
-        for prod, cl, label in (
-            (self.k10 * self.v1, self.cl1, "k10*v1 vs cl1"),
-            (self.k12 * self.v1, self.cl2, "k12*v1 vs cl2"),
-            (self.k13 * self.v1, self.cl3, "k13*v1 vs cl3"),
-            (self.k21 * self.v2, self.cl2, "k21*v2 vs cl2"),
-            (self.k31 * self.v3, self.cl3, "k31*v3 vs cl3"),
-        ):
-            scale = max(abs(prod), abs(cl), 1e-300)
-            if abs(prod - cl) > 1e-12 * scale:
-                raise ModelError(f"inconsistent PK parameters: {label} "
-                                 f"({prod!r} vs {cl!r})")
+        for name in ("cl2", "cl3", "ke0"):
+            if getattr(self, name) < 0:
+                raise ModelError(f"{name} must be non-negative, got {getattr(self, name)}")
+        # Plain attributes, not properties: the step loop reads them ~100 times a step.
+        for name, value in (("k10", self.cl1 / self.v1), ("k12", self.cl2 / self.v1),
+                            ("k13", self.cl3 / self.v1), ("k21", self.cl2 / self.v2),
+                            ("k31", self.cl3 / self.v3), ("k1e", self.ke0)):
+            object.__setattr__(self, name, value)
 
 
 def derive_pk_params(demo: Demographics,
@@ -170,13 +164,7 @@ def derive_pk_params(demo: Demographics,
     if v2 <= 0:
         raise NonPhysicalParameterError(
             f"non-physical PK parameters: v2={v2:.6g} L (age={demo.age})", value=v2)
-    return PkParams(
-        v1=v1, v2=v2, v3=v3,
-        k10=cl1 / v1, k12=cl2 / v1, k13=cl3 / v1,
-        k21=cl2 / v2, k31=cl3 / v3,
-        k1e=KE0_PER_MIN, ke0=KE0_PER_MIN,
-        cl1=cl1, cl2=cl2, cl3=cl3,
-    )
+    return PkParams(v1=v1, v2=v2, v3=v3, cl1=cl1, cl2=cl2, cl3=cl3)
 
 
 @dataclass(frozen=True)
@@ -272,29 +260,19 @@ def step_rk4(state: PatientState, u: float, pk: PkParams, h: float) -> PatientSt
 
 @dataclass(frozen=True)
 class VirtualPatient:
-    """A simulated patient: demographics, derived PK, and individual Hill curve."""
+    """A simulated patient: demographics, individual Hill curve, and the PK
+    derived from the demographics under pk_preset."""
 
     id: int
     demographics: Demographics
-    pk: PkParams
     hill: HillParams
     pk_preset: PkPreset = PkPreset.SCHNIDER_CORRECTED
     fictitious_average: bool = False
+    pk: PkParams = field(init=False)
 
     def __post_init__(self):
-        derived = derive_pk_params(self.demographics, self.pk_preset)
-        if derived != self.pk:
-            raise ModelError(
-                f"patient {self.id}: pk does not match parameters derived from "
-                f"demographics with preset {self.pk_preset.value}")
-
-    @classmethod
-    def from_demographics(cls, id: int, demo: Demographics, hill: HillParams,
-                          preset: PkPreset = PkPreset.SCHNIDER_CORRECTED,
-                          fictitious_average: bool = False) -> "VirtualPatient":
-        return cls(id=id, demographics=demo, pk=derive_pk_params(demo, preset),
-                   hill=hill, pk_preset=PkPreset(preset),
-                   fictitious_average=fictitious_average)
+        object.__setattr__(self, "pk_preset", PkPreset(self.pk_preset))
+        object.__setattr__(self, "pk", derive_pk_params(self.demographics, self.pk_preset))
 
 
 # Identified adult cohort used throughout: (id, age, height_cm, weight_kg,
@@ -324,8 +302,8 @@ def _member(row: tuple, preset: PkPreset) -> VirtualPatient:
     pid, age, height, weight, sex, ce50, gamma, e0, emax = row
     demo = Demographics(age=age, height_cm=float(height), weight_kg=float(weight), sex=sex)
     hill = HillParams(e0=e0, emax=emax, ce50=ce50, gamma=gamma)
-    return VirtualPatient.from_demographics(pid, demo, hill, preset,
-                                            fictitious_average=(pid == AVERAGE_PATIENT_ID))
+    return VirtualPatient(pid, demo, hill, preset,
+                          fictitious_average=(pid == AVERAGE_PATIENT_ID))
 
 
 def builtin_cohort(preset: PkPreset = PkPreset.SCHNIDER_CORRECTED) -> list[VirtualPatient]:

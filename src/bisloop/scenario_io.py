@@ -136,8 +136,7 @@ def _parse_patient(obj: Any, preset: PkPreset) -> VirtualPatient:
                           gamma=_number(obj, "gamma", "patient"))
     except ModelError as e:
         raise ScenarioError(f"patient: {e}") from e
-    return VirtualPatient.from_demographics(_integer(obj, "id", "patient", 0),
-                                            demo, hill, preset)
+    return VirtualPatient(_integer(obj, "id", "patient", 0), demo, hill, preset)
 
 
 def parse_scenario(text: str) -> Scenario:

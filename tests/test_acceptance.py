@@ -14,7 +14,7 @@ import pytest
 
 from bisloop import (Demographics, DisturbancePulse, HillParams, NoiseKind,
                      NoiseModel, NominalHillParams, NonPhysicalParameterError,
-                     PatientState, PkParams, PkPreset, Scenario, Sex, ce_at_bis,
+                     PatientState, PkParams, PkPreset, Scenario, Sex,
                      cohort_member, derive_pk_params, hill_bis, inverse_hill,
                      pk_derivatives, run_closed_loop, step_rk4, tune_tf2)
 from bisloop.cli import main
@@ -76,8 +76,7 @@ def test_criterion_1_gamma_mean_within_tolerance(cohort):
 
 def test_criterion_2_single_compartment_analytic():
     k10, v1 = 0.5, 4.27
-    pk = PkParams(v1=v1, v2=10.0, v3=10.0, k10=k10, k12=0.0, k13=0.0, k21=0.0,
-                  k31=0.0, k1e=0.456, ke0=0.456, cl1=k10 * v1, cl2=0.0, cl3=0.0)
+    pk = PkParams(v1=v1, v2=10.0, v3=10.0, cl1=k10 * v1, cl2=0.0, cl3=0.0, ke0=0.456)
     u, h = 20.0, 1 / 60
     state = PatientState(1.5, 0.0, 0.0, 0.0)
     worst = 0.0
@@ -166,7 +165,7 @@ def test_criterion_5_infusion_rate_equilibrium_pin(p13_nominal_traj):
     check("5 patient 13 u = 13.15 +/- 0.5 at 60 min",
           abs(u_end - 13.15) <= 0.5,
           f"u(60)={u_end:.3f} mg/min; full-equilibrium value "
-          f"{cohort_member(13).pk.cl1 * ce_at_bis(cohort_member(13).hill, 50.0):.3f}")
+          f"{cohort_member(13).pk.cl1 * inverse_hill(50.0, cohort_member(13).hill):.3f}")
 
 
 # --- 6. disturbance rejection -------------------------------------------------

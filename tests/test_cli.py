@@ -84,6 +84,14 @@ class TestSimulate:
     def test_bad_number_exit_code(self, scenario_file, capsys, doc):
         assert main(["simulate", "--scenario", scenario_file(doc)]) == 2
 
+    def test_unreachable_target_exits_4_before_the_run(self, scenario_file, capsys):
+        # e0 - emax = 93.1 - 87.5 for the nominal curve of patient 13
+        path = scenario_file({"patient_id": 13, "controller": {"target_bis": 3}})
+        assert main(["simulate", "--scenario", path]) == 4
+        err = capsys.readouterr().err
+        assert "target_bis=3.0 is below the nominal curve's reach e0 - emax = 93.1 - 87.5" in err
+        assert "step" not in err
+
     def test_run_without_steps_exits_2(self, scenario_file, capsys):
         path = scenario_file({"h_min": 2, "duration_min": 1})
         assert main(["simulate", "--scenario", path]) == 2
@@ -109,6 +117,13 @@ class TestOpenLoopCommand:
         # argparse keeps the last value given for a repeated flag
         assert main(["open-loop", "--patient", "13", "--rate", "10", "--duration", "1",
                      flag, value]) == 2
+
+
+    @pytest.mark.parametrize("flag", ["--duration", "--rate"])
+    def test_infinite_input_exits_2(self, capsys, flag):
+        assert main(["open-loop", "--patient", "13", "--rate", "10", "--duration", "1",
+                     flag, "inf"]) == 2
+        assert "must be" in capsys.readouterr().err
 
 
 class TestCohortCommand:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from bisloop import (ControllerConfig, ControllerError, ControllerState, Lp2State,
                      NominalHillParams, PatientState, Saturation, cohort_member,
                      controller_step, inverse_hill, lp2_step, saturate)
-from bisloop.metrics import ce_at_bis
 
 NOMINAL_P13 = NominalHillParams(e0=93.1)
 
@@ -110,7 +109,7 @@ class TestSaturate:
 def converged_controller(patient, cfg):
     """Closed-loop fixed point: filters settled, tracking error zero,
     the integrator holding the equilibrium rate."""
-    ce_star = ce_at_bis(patient.hill, cfg.target_bis)
+    ce_star = inverse_hill(cfg.target_bis, patient.hill)
     u_ss = patient.pk.cl1 * ce_star
     pk = patient.pk  # internal model personalizes to the same demographics here
     c1 = u_ss / pk.cl1
@@ -122,7 +121,6 @@ def converged_controller(patient, cfg):
         f2=Lp2State(cfg.tf2, x1=innovation, x2=innovation),
         model_state=model,
         integrator=u_ss,
-        last_u=u_ss,
     )
     return cs, u_ss
 
@@ -204,3 +202,15 @@ class TestControllerStep:
             ControllerConfig(u_max=0.0).validate()
         with pytest.raises(ControllerError):
             ControllerConfig(target_bis=95.0, nominal=NominalHillParams(e0=93.1)).validate()
+
+    @pytest.mark.parametrize("target", [3.0, 93.1 - 87.5])
+    def test_unreachable_target_rejected(self, target):
+        # the nominal curve bottoms out at e0 - emax = 5.6
+        cfg = ControllerConfig(target_bis=target, nominal=NominalHillParams(e0=93.1))
+        with pytest.raises(ControllerError, match=f"target_bis={target} is below"):
+            cfg.validate()
+
+    def test_lowest_reachable_target_accepted(self):
+        target = 93.1 - 87.5 + 1e-9
+        ControllerConfig(target_bis=target, nominal=NominalHillParams(e0=93.1)).validate()
+        assert inverse_hill(target, NominalHillParams(e0=93.1)) > 0.0

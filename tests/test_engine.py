@@ -6,7 +6,8 @@ import pytest
 from bisloop import (DisturbancePulse, NoiseKind, NoiseModel, Scenario,
                      ScenarioError, cohort_member, disturbance_at, noise_sample,
                      run_closed_loop, run_many, run_open_loop)
-from bisloop.metrics import ce_at_bis, induction_time
+from bisloop.control import inverse_hill
+from bisloop.metrics import induction_time
 
 
 class TestDisturbance:
@@ -50,6 +51,11 @@ class TestNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ScenarioError):
             NoiseModel(NoiseKind.GAUSSIAN, sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ScenarioError, match="sigma must be finite"):
+            NoiseModel(NoiseKind.GAUSSIAN, sigma=sigma)
 
 
 class TestClosedLoop:
@@ -160,7 +166,7 @@ class TestOpenLoop:
         from bisloop import Demographics, HillParams, PkPreset, Sex, VirtualPatient
         demo = Demographics(age=30, height_cm=190.0, weight_kg=95.0, sex=Sex.MALE)
         hill = HillParams(e0=93.1, emax=96.58, ce50=7.42, gamma=3.0)
-        p = VirtualPatient.from_demographics(1, demo, hill, PkPreset.AS_PUBLISHED)
+        p = VirtualPatient(1, demo, hill, PkPreset.AS_PUBLISHED)
         u = 10.0
         traj = run_open_loop(p, u, duration=300.0, h=1 / 60)
         assert traj.c1[-1] == pytest.approx(u / p.pk.cl1, rel=0.01)
@@ -197,6 +203,20 @@ class TestOpenLoop:
     def test_run_without_steps_rejected(self):
         with pytest.raises(ScenarioError, match="h=0.02 min, duration=0.01 min"):
             run_open_loop(cohort_member(13), 10.0, duration=0.01, h=0.02)
+
+    @pytest.mark.parametrize("profile", [math.inf, ((0.0, 10.0), (0.5, math.inf))])
+    def test_infinite_rate_rejected(self, profile):
+        with pytest.raises(ScenarioError, match="infusion rates must be >= 0 and finite"):
+            run_open_loop(cohort_member(13), profile, duration=1.0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"duration": math.inf}, "duration must be finite"),
+        ({"duration": 1.0, "h": math.nan}, "h must be finite"),
+        ({"duration": 1.0, "seed": -1}, "seed must be >= 0"),
+    ])
+    def test_bad_run_settings_rejected(self, kwargs, match):
+        with pytest.raises(ScenarioError, match=match):
+            run_open_loop(cohort_member(13), 10.0, **kwargs)
 
 
 class TestStepSizeSensitivity:
@@ -247,6 +267,17 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             Scenario(patient_id=13, h=-1.0)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"duration": math.nan}, "duration must be finite"),
+        ({"h": math.nan}, "h must be finite"),
+        ({"duration": math.inf}, "duration must be finite"),
+        ({"h": math.inf}, "h must be finite"),
+        ({"seed": -1, "noise": NoiseModel(NoiseKind.GAUSSIAN)}, "seed must be >= 0"),
+    ])
+    def test_non_finite_settings_and_negative_seed_rejected(self, kwargs, match):
+        with pytest.raises(ScenarioError, match=match):
+            Scenario(patient_id=13, **kwargs)
+
     def test_patient_and_id_mutually_exclusive(self):
         p = cohort_member(13)
         with pytest.raises(ScenarioError):
@@ -259,6 +290,6 @@ class TestScenarioValidation:
         # at the settled end of the run the true patient sits on its own
         # Hill curve at the target concentration
         p = cohort_member(13)
-        ce_star = ce_at_bis(p.hill, 50.0)
+        ce_star = inverse_hill(50.0, p.hill)
         assert ce_star == pytest.approx(6.905034653589145)
         assert p13_nominal_traj.ce_true[-1] == pytest.approx(ce_star, abs=0.05)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisloop import (DEFAULT_TF2_MIN, ControllerError, DisturbancePulse, ModelError,
-                     Scenario, ScenarioError, Trajectory, TuningError, ce_at_bis,
-                     ce_bis_curve, cohort_member, cohort_target_window,
-                     degradation_ratio, iae, induction_time, run_closed_loop,
-                     summarize, tune_tf2)
+from bisloop import (DEFAULT_TF2_MIN, ControllerConfig, ControllerError, DisturbancePulse,
+                     ModelError, Scenario, ScenarioError, Trajectory, TuningError,
+                     ce_bis_curve, cohort_member, cohort_target_window, degradation_ratio,
+                     iae, induction_time, inverse_hill, run_closed_loop, summarize,
+                     tune_tf2)
 from bisloop import metrics
 from bisloop.metrics import _lane_iaes, default_tuning_scenario
 
@@ -154,6 +154,11 @@ class TestTuneTf2:
         assert result.d_values == (0.0,)
         assert result.selected_tf2 == 0.0
 
+    def test_unreachable_target_rejected_before_the_lanes_run(self):
+        template = Scenario(duration=2.0, controller=ControllerConfig(target_bis=3.0))
+        with pytest.raises(ControllerError, match=r"^target_bis=3.0 is below"):
+            tune_tf2([0.0, 0.5], template=template)
+
     def test_infinite_threshold_selects_last(self):
         result = tune_tf2([0.25, 0.5], threshold=math.inf)
         assert result.selected_tf2 == 0.5
@@ -284,8 +289,8 @@ class TestCeBisCurve:
                 bracketed = (c0 + c1) / 2
                 break
         assert bracketed is not None
-        assert abs(bracketed - ce_at_bis(p.hill, 50.0)) <= grid_step
-        assert ce_at_bis(p.hill, 50.0) == pytest.approx(6.905034653589145)
+        assert abs(bracketed - inverse_hill(50.0, p.hill)) <= grid_step
+        assert inverse_hill(50.0, p.hill) == pytest.approx(6.905034653589145)
 
     def test_validation(self):
         p = cohort_member(13)
@@ -301,3 +306,8 @@ class TestCeBisCurve:
         # every member's half-depth concentration sits in the expected
         # clinical window for this cohort
         assert outside == []
+
+    def test_cohort_window_unreachable_target(self, cohort):
+        # patient 1 bottoms out at e0 - emax = 98.8 - 94.1
+        with pytest.raises(ControllerError, match="inverse Hill out of domain"):
+            cohort_target_window(cohort, target_bis=3.0)

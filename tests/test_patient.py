@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisloop import (Demographics, HillParams, ModelError, NonPhysicalParameterError,
-                     PatientState, PkParams, PkPreset, Sex, VirtualPatient,
+                     PatientState, PkParams, PkPreset, Sex,
                      builtin_cohort, cohort_member, derive_pk_params, hill_bis,
                      lean_body_mass, pk_derivatives, step_rk4)
 
@@ -88,13 +88,6 @@ class TestDerivePkParams:
         assert pk.k21 * pk.v2 == pytest.approx(pk.cl2, rel=1e-12)
         assert pk.k31 * pk.v3 == pytest.approx(pk.cl3, rel=1e-12)
 
-    def test_inconsistent_params_rejected(self):
-        pk = derive_pk_params(P13_DEMO)
-        with pytest.raises(ModelError, match="inconsistent"):
-            PkParams(v1=pk.v1, v2=pk.v2, v3=pk.v3, k10=pk.k10 * 1.5, k12=pk.k12,
-                     k13=pk.k13, k21=pk.k21, k31=pk.k31, k1e=pk.k1e, ke0=pk.ke0,
-                     cl1=pk.cl1, cl2=pk.cl2, cl3=pk.cl3)
-
 
 class TestPkDerivatives:
     def test_origin_is_equilibrium(self):
@@ -131,9 +124,7 @@ class TestPkDerivatives:
 
 
 def _single_compartment_pk(k10=0.5, v1=4.27):
-    return PkParams(v1=v1, v2=10.0, v3=10.0, k10=k10, k12=0.0, k13=0.0,
-                    k21=0.0, k31=0.0, k1e=0.456, ke0=0.456,
-                    cl1=k10 * v1, cl2=0.0, cl3=0.0)
+    return PkParams(v1=v1, v2=10.0, v3=10.0, cl1=k10 * v1, cl2=0.0, cl3=0.0, ke0=0.456)
 
 
 class TestStepRk4:
@@ -252,11 +243,6 @@ class TestCohort:
 
     def test_repeated_calls_identical(self):
         assert builtin_cohort() == builtin_cohort()
-
-    def test_patient_pk_consistency_enforced(self, cohort):
-        other = derive_pk_params(cohort[0].demographics)
-        with pytest.raises(ModelError, match="does not match"):
-            VirtualPatient(id=13, demographics=P13_DEMO, pk=other, hill=P13_HILL)
 
 
 class TestStateProperties:
