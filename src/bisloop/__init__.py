@@ -17,10 +17,9 @@ from .errors import (BisloopError, ControllerError, ModelError,
 from .metrics import (MetricsReport, SweepResult, TuningError, ce_bis_curve,
                       cohort_target_window, degradation_ratio, iae, induction_time,
                       summarize, tune_tf2)
-from .patient import (Demographics, HillParams, PatientState, PkParams, PkPreset,
-                      Sex, VirtualPatient, builtin_cohort, cohort_member,
-                      derive_pk_params, hill_bis, lean_body_mass, pk_derivatives,
-                      step_rk4)
+from .patient import (Demographics, DiscretePk, HillParams, PatientState, PkParams,
+                      PkPreset, Sex, VirtualPatient, builtin_cohort, cohort_member,
+                      derive_pk_params, hill_bis, lean_body_mass, pk_derivatives)
 from .scenario_io import (cohort_csv, metrics_csv, parse_scenario, scenario_to_dict,
                           sweep_csv, write_trajectory_csv)
 from .svgplot import render_svg_plot
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BisloopError", "ControllerConfig", "ControllerError", "ControllerState",
-    "DEFAULT_TF2_MIN", "Demographics", "DisturbancePulse", "HillParams",
+    "DEFAULT_TF2_MIN", "Demographics", "DiscretePk", "DisturbancePulse", "HillParams",
     "Lp2State", "MetricsReport", "ModelError", "NoiseKind", "NoiseModel",
     "NominalHillParams", "NonPhysicalParameterError", "PatientState", "PkParams",
     "PkPreset", "Saturation", "Scenario", "ScenarioError", "Sex", "SweepResult",
@@ -39,6 +38,6 @@ __all__ = [
     "hill_bis", "iae", "induction_time", "inverse_hill", "lean_body_mass",
     "lp2_step", "metrics_csv", "noise_sample", "parse_scenario", "pk_derivatives",
     "render_svg_plot", "run_closed_loop", "run_many", "run_open_loop", "saturate",
-    "scenario_to_dict", "step_rk4", "summarize", "sweep_csv", "tune_tf2",
+    "scenario_to_dict", "summarize", "sweep_csv", "tune_tf2",
     "write_trajectory_csv",
 ]

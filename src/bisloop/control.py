@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ControllerError
-from .patient import (Demographics, HillParams, PatientState, PkParams, Sex, ZERO_STATE,
-                      step_rk4)
+from .patient import Demographics, DiscretePk, HillParams, PatientState, Sex, ZERO_STATE
 
 # Population-average Hill parameters used by the controller; only the awake
 # baseline e0 is measurable per patient before induction.
@@ -135,12 +134,14 @@ class ControllerConfig:
     model_demographics: Demographics | None = None
 
     def validate(self):
-        if self.tf1 < 0 or self.tf2 < 0:
-            raise ControllerError("filter time constants must be >= 0")
-        if self.kp < 0 or self.ki < 0:
-            raise ControllerError("controller gains must be >= 0")
-        if self.u_max <= 0:
-            raise ControllerError(f"u_max must be positive, got {self.u_max}")
+        for name in ("tf1", "tf2", "kp", "ki"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ControllerError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.u_max < math.inf:
+            raise ControllerError(f"u_max must be finite and positive, got {self.u_max}")
+        if not math.isfinite(self.target_bis):
+            raise ControllerError(f"target_bis must be finite, got {self.target_bis}")
         if self.nominal is None:
             return
         e0, emax = self.nominal.e0, self.nominal.emax
@@ -178,18 +179,18 @@ class ControllerState:
                    last_bis_filtered=awake_bis)
 
 
-def controller_step(cs: ControllerState, cfg: ControllerConfig,
-                    pk_nominal: PkParams, measured_bis: float, h: float) -> float:
+def controller_step(cs: ControllerState, cfg: ControllerConfig, model: DiscretePk,
+                    measured_bis: float) -> float:
     """One control update: consume a BIS reading, return the infusion rate.
 
     Mutates cs.  Sequence: pre-filter the reading, invert it to a measured
     concentration, filter the model discrepancy into the innovation, form
     the tracking error against the inverted target, apply the PI law with
     conditional-integration anti-windup, clamp to the pump range, and
-    advance the internal model under the issued rate.
+    advance the internal model under the issued rate.  model is that
+    internal model discretized at the control step h, which it carries.
     """
-    if h <= 0:
-        raise ControllerError(f"step size must be positive, got {h}")
+    h = model.h
     if cfg.nominal is None:
         raise ControllerError("ControllerConfig.nominal must be resolved before use")
     if not math.isfinite(measured_bis):
@@ -213,7 +214,7 @@ def controller_step(cs: ControllerState, cfg: ControllerConfig,
     if not math.isfinite(u):
         raise ControllerError(f"controller state diverged: u={u!r}, err={err!r}")
 
-    cs.model_state = step_rk4(cs.model_state, u, pk_nominal, h)
+    cs.model_state = model.step(cs.model_state, u)
     cs.last_bis_filtered = bis_f
     cs.last_innovation = innovation
     cs.last_ce_ref = ce_ref

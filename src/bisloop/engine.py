@@ -1,6 +1,6 @@
 """Closed-loop and open-loop simulation runner.
 
-A run advances the true patient with the fixed-step integrator, produces the
+A run advances the true patient by exact zero-order-hold steps, produces the
 measured BIS (monitor clamp, optional additive disturbance pulses plus
 Gaussian noise), feeds the controller, and records every signal per step.
 Runs are deterministic: the noise stream is a pure function of the scenario
@@ -21,8 +21,12 @@ import numpy as np
 from .control import (ControllerConfig, ControllerState, DEFAULT_MODEL_DEMOGRAPHICS,
                       NominalHillParams, controller_step, inverse_hill)
 from .errors import ControllerError, ModelError, ScenarioError
-from .patient import (PkParams, PkPreset, VirtualPatient, ZERO_STATE, cohort_member,
-                      derive_pk_params, hill_bis, step_rk4)
+from .patient import (DiscretePk, PkParams, PkPreset, VirtualPatient, ZERO_STATE,
+                      cohort_member, derive_pk_params, hill_bis)
+
+# Step budget of one run: duration / h may not exceed it.  A million steps is
+# 11.6 days at the default 1-s step; the longest benchmark run has 14 400.
+MAX_STEPS = 1_000_000
 
 
 class NoiseKind(str, Enum):
@@ -81,7 +85,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        _check_run(self.duration, self.h, self.seed)
+        _check_run(self.duration, self.h, self.seed, self.disturbance)
         if self.patient_id is not None and self.patient is not None:
             raise ScenarioError("give either patient_id or an explicit patient, not both")
 
@@ -96,13 +100,22 @@ class Scenario:
         return _step_count(self.duration, self.h)
 
 
-def _check_run(duration: float, h: float, seed: int) -> None:
+def _check_run(duration: float, h: float, seed: int,
+               disturbance: Sequence[DisturbancePulse]) -> None:
     """Reject run settings no run can use; zero-step runs are left to _run."""
     for name, value in (("duration", duration), ("h", h)):
         if not 0 < value < math.inf:
             raise ScenarioError(f"{name} must be finite and positive, got {value}")
+    if duration / h > MAX_STEPS:
+        raise ScenarioError(f"run of {duration / h:.6g} steps (duration={duration} min, "
+                            f"h={h} min) exceeds MAX_STEPS={MAX_STEPS}")
     if seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {seed}")
+    for p in disturbance:
+        if not (math.isfinite(p.start) and 0 < p.duration < math.inf
+                and math.isfinite(p.amplitude)):
+            raise ScenarioError(f"disturbance pulse needs a finite start and amplitude and "
+                                f"a finite, positive duration, got {p}")
 
 
 def _step_count(duration: float, h: float) -> int:
@@ -169,7 +182,7 @@ def _run(patient: VirtualPatient, duration: float, h: float,
     if n_steps < 1:
         raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
     rng = np.random.default_rng(seed)
-    hill, pk = patient.hill, patient.pk
+    hill, advance = patient.hill, DiscretePk(patient.pk, h).step
     state = ZERO_STATE
     # Every step's values in TRAJECTORY_FIELDS order, in one flat list of
     # floats: per-step tuples kept alive would wake the cyclic GC.
@@ -182,7 +195,7 @@ def _run(patient: VirtualPatient, duration: float, h: float,
             bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
             u, bis_f, ce_model, i_t, ce_ref = control(t, bm)
             values.extend((t, bt, bm, bis_f, u, *state, ce_model, i_t, ce_ref))
-            state = step_rk4(state, u, pk, h)
+            state = advance(state, u)
         except (ModelError, ControllerError) as e:
             raise type(e)(f"step {k} (t={t:.4f} min): {e}") from e
     n = len(TRAJECTORY_FIELDS)
@@ -200,13 +213,13 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     patient = scenario.resolve_patient()
     cfg, pk_nominal = resolve_controller(scenario.controller, patient)
     cs = ControllerState.initial(cfg, awake_bis=patient.hill.e0)
-    h = scenario.h
+    model = DiscretePk(pk_nominal, scenario.h)
 
     def control(t: float, bm: float) -> tuple:
-        u = controller_step(cs, cfg, pk_nominal, bm, h)
+        u = controller_step(cs, cfg, model, bm)
         return u, cs.last_bis_filtered, cs.last_model_ce, cs.last_innovation, cs.last_ce_ref
 
-    return _run(patient, scenario.duration, h, scenario.disturbance, scenario.noise,
+    return _run(patient, scenario.duration, scenario.h, scenario.disturbance, scenario.noise,
                 scenario.seed, control)
 
 
@@ -222,27 +235,6 @@ def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a, passthrough
     return x1, x2
 
 
-def _pk_derivatives_lanes(s: np.ndarray, uv: np.ndarray, k: tuple) -> np.ndarray:
-    """pk_derivatives on a (4, N) state; k holds per-column rate constants."""
-    neg_k1, k12, k13, k21, k31, k1e, ke0 = k
-    c1, c2, c3, ce = s
-    return np.array((neg_k1 * c1 + k21 * c2 + k31 * c3 + uv,
-                     k12 * c1 - k21 * c2,
-                     k13 * c1 - k31 * c3,
-                     k1e * c1 - ke0 * ce))
-
-
-def _rk4_lanes(s: np.ndarray, uv: np.ndarray, k: tuple, h: float) -> np.ndarray:
-    """step_rk4 on a (4, N) state; non-finite columns are left for the caller."""
-    k1 = _pk_derivatives_lanes(s, uv, k)
-    half = 0.5 * h
-    k2 = _pk_derivatives_lanes(s + half * k1, uv, k)
-    k3 = _pk_derivatives_lanes(s + half * k2, uv, k)
-    k4 = _pk_derivatives_lanes(s + h * k3, uv, k)
-    out = s + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-    return np.where(out < 0.0, 0.0, out)
-
-
 def _closed_loop_lanes(template: Scenario, patients: Sequence[VirtualPatient],
                        tf2: Sequence[float], channel: str) -> np.ndarray:
     """Noise-free closed loop on L lanes at once; one channel, shape (n_steps, L).
@@ -253,7 +245,7 @@ def _closed_loop_lanes(template: Scenario, patients: Sequence[VirtualPatient],
     Everything else (h, steps, disturbance, controller settings, internal
     model) is shared.  Each step repeats the scalar loop's arithmetic
     operation for operation, with the plant and the internal model advanced
-    by one RK4 call over 2L columns.  Failures raise the scalar loop's error
+    by one DiscretePk step over 2L columns.  Failures raise the scalar loop's error
     type, naming the step, the time and the first failing lane.
     """
     column = LANE_CHANNELS.index(channel)
@@ -285,11 +277,9 @@ def _closed_loop_lanes(template: Scenario, patients: Sequence[VirtualPatient],
     hill_c50g = lanes(p.hill.ce50 ** p.hill.gamma for p in patients)
 
     # Columns 0..L-1 are the patients, L..2L-1 the controller's internal model.
-    pks = [p.pk for p in patients] + [pk_nominal] * n_lanes
-    k = (lanes(-(pk.k10 + pk.k12 + pk.k13) for pk in pks),
-         *(lanes(getattr(pk, name) for pk in pks)
-           for name in ("k12", "k13", "k21", "k31", "k1e", "ke0")))
-    v1 = lanes(pk.v1 for pk in pks)
+    models = [DiscretePk(p.pk, h) for p in patients] + [DiscretePk(pk_nominal, h)] * n_lanes
+    phi = np.stack([m.phi for m in models], axis=-1)        # (4, 4, 2L)
+    gamma = np.stack([m.gamma for m in models], axis=-1)    # (4, 2L)
 
     a1 = 0.0 if shared.tf1 == 0.0 else 1.0 - math.exp(-h / shared.tf1)
     a2 = lanes(0.0 if tf == 0.0 else 1.0 - math.exp(-h / tf) for tf in tf2)
@@ -341,7 +331,8 @@ def _closed_loop_lanes(template: Scenario, patients: Sequence[VirtualPatient],
                  f"controller state diverged: u={u[j]!r}, err={err[j]!r}")
 
         out[step] = (bt, bm, bis_f)[column]
-        s = _rk4_lanes(s, np.concatenate((u, u)) / v1, k, h)
+        s = (phi * s).sum(axis=1) + gamma * np.concatenate((u, u))
+        s = np.where(s < 0.0, 0.0, s)
         if not np.isfinite(s).all():
             j = int(np.argmin(np.isfinite(s).all(axis=0))) % n_lanes
             fail(ModelError, step, j, f"integration diverged: u={u[j]!r}, h={h}")
@@ -373,7 +364,7 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     (start_min, rate) breakpoints sorted by start.  Controller columns are
     recorded as None.
     """
-    _check_run(duration, h, seed)
+    _check_run(duration, h, seed, disturbance)
     if isinstance(profile, (int, float)):
         profile = ((0.0, profile),)
     profile = tuple((float(s), float(r)) for s, r in profile)

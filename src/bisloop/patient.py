@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ModelError, NonPhysicalParameterError
 
 # Effect-site equilibration constant: drug transfer into the effect site is
@@ -226,36 +228,55 @@ def pk_derivatives(state: PatientState, u: float, pk: PkParams) -> PatientState:
     )
 
 
-def step_rk4(state: PatientState, u: float, pk: PkParams, h: float) -> PatientState:
-    """Advance the compartment model one step of h minutes.
+def _expm(m: np.ndarray) -> np.ndarray:
+    """exp(m) by scaling and squaring (Higham 2005): m is scaled by 2^-s to a
+    1-norm <= 1/2, where 18 Taylor terms err below 1e-21, then squared s times."""
+    s = max(0, int(np.frexp(np.abs(m).sum(axis=0).max())[1]) + 1)
+    a = np.ldexp(m, -s)
+    term = out = np.eye(len(m))
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
 
-    Classical 4th-order Runge-Kutta with the infusion rate held constant
-    over the step.  Negative concentrations caused by round-off are clamped
-    to zero; a non-finite result raises ModelError.
+
+@dataclass(frozen=True)
+class DiscretePk:
+    """The PK model advanced exactly over steps of h minutes, u held per step.
+
+    The model is linear, dx/dt = A x + B u, so x(t + h) = phi x(t) + gamma u,
+    where [[phi, gamma], [0, 1]] = exp([[A, B], [0, 0]] h) (Van Loan 1978).
+    A and B are read off pk_derivatives, the one statement of the model's
+    right-hand side.  Any h is stable.
     """
-    if h <= 0:
-        raise ModelError(f"step size must be positive, got {h}")
-    k1 = pk_derivatives(state, u, pk)
-    half = 0.5 * h
-    s2 = PatientState(state.c1 + half * k1.c1, state.c2 + half * k1.c2,
-                      state.c3 + half * k1.c3, state.ce + half * k1.ce)
-    k2 = pk_derivatives(s2, u, pk)
-    s3 = PatientState(state.c1 + half * k2.c1, state.c2 + half * k2.c2,
-                      state.c3 + half * k2.c3, state.ce + half * k2.ce)
-    k3 = pk_derivatives(s3, u, pk)
-    s4 = PatientState(state.c1 + h * k3.c1, state.c2 + h * k3.c2,
-                      state.c3 + h * k3.c3, state.ce + h * k3.ce)
-    k4 = pk_derivatives(s4, u, pk)
-    sixth = h / 6.0
-    out = (
-        state.c1 + sixth * (k1.c1 + 2.0 * (k2.c1 + k3.c1) + k4.c1),
-        state.c2 + sixth * (k1.c2 + 2.0 * (k2.c2 + k3.c2) + k4.c2),
-        state.c3 + sixth * (k1.c3 + 2.0 * (k2.c3 + k3.c3) + k4.c3),
-        state.ce + sixth * (k1.ce + 2.0 * (k2.ce + k3.ce) + k4.ce),
-    )
-    if not all(math.isfinite(v) for v in out):
-        raise ModelError(f"integration diverged: state={out}, u={u}, h={h}")
-    return PatientState(*(0.0 if v < 0.0 else v for v in out))
+
+    pk: PkParams
+    h: float    # min
+    phi: tuple[tuple[float, ...], ...] = field(init=False)
+    gamma: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        if not 0 < self.h < math.inf:
+            raise ModelError(f"step size must be finite and positive, got {self.h}")
+        m = np.zeros((5, 5))
+        for j, unit in enumerate(np.eye(4)):
+            m[:4, j] = pk_derivatives(PatientState(*unit), 0.0, self.pk)
+        m[:4, 4] = pk_derivatives(ZERO_STATE, 1.0, self.pk)
+        e = _expm(m * self.h)
+        object.__setattr__(self, "phi", tuple(tuple(map(float, row)) for row in e[:4, :4]))
+        object.__setattr__(self, "gamma", tuple(map(float, e[:4, 4])))
+
+    def step(self, state: PatientState, u: float) -> PatientState:
+        """The state h minutes on under the rate u (mg/min).  Round-off negatives
+        are clamped to zero; a non-finite result raises ModelError."""
+        c1, c2, c3, ce = state
+        out = [p1 * c1 + p2 * c2 + p3 * c3 + p4 * ce + g * u
+               for (p1, p2, p3, p4), g in zip(self.phi, self.gamma)]
+        if not all(map(math.isfinite, out)):
+            raise ModelError(f"integration diverged: state={tuple(out)}, u={u}, h={self.h}")
+        return PatientState._make([0.0 if v < 0.0 else v for v in out])
 
 
 @dataclass(frozen=True)

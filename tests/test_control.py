@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bisloop import (ControllerConfig, ControllerError, ControllerState, Lp2State,
-                     NominalHillParams, PatientState, Saturation, cohort_member,
-                     controller_step, inverse_hill, lp2_step, saturate)
+from bisloop import (ControllerConfig, ControllerError, ControllerState, DiscretePk,
+                     Lp2State, NominalHillParams, PatientState, Saturation, Scenario,
+                     cohort_member, controller_step, inverse_hill, lp2_step,
+                     run_closed_loop, saturate)
 
 NOMINAL_P13 = NominalHillParams(e0=93.1)
 
@@ -130,32 +132,32 @@ class TestControllerStep:
         self.patient = cohort_member(13)
         self.cfg = ControllerConfig(nominal=NominalHillParams(e0=self.patient.hill.e0))
         self.cfg.validate()
+        self.model = DiscretePk(self.patient.pk, 1 / 60)
 
     def test_fixed_point_is_preserved(self):
         cs, u_ss = converged_controller(self.patient, self.cfg)
         model_before = cs.model_state
-        u = controller_step(cs, self.cfg, self.patient.pk, self.cfg.target_bis, 1 / 60)
+        u = controller_step(cs, self.cfg, self.model, self.cfg.target_bis)
         assert u == pytest.approx(u_ss, abs=1e-9)
         for a, b in zip(cs.model_state, model_before):
             assert a == pytest.approx(b, abs=1e-9)
         # and it stays there over many steps
         for _ in range(600):
-            u = controller_step(cs, self.cfg, self.patient.pk, self.cfg.target_bis, 1 / 60)
+            u = controller_step(cs, self.cfg, self.model, self.cfg.target_bis)
         assert u == pytest.approx(u_ss, abs=1e-6)
 
     def test_on_target_reading_still_starts_induction(self):
         # drug-free internal model means the loop must infuse even when the
         # (stale) reading equals the target
         cs = ControllerState.initial(self.cfg, awake_bis=self.cfg.target_bis)
-        u = controller_step(cs, self.cfg, self.patient.pk, self.cfg.target_bis, 1 / 60)
+        u = controller_step(cs, self.cfg, self.model, self.cfg.target_bis)
         assert u > 0.0
 
     def test_positive_bis_step_raises_infusion(self):
         cs, u_ss = converged_controller(self.patient, self.cfg)
         h = 1 / 60
         for _ in range(int(2.0 / h)):
-            u = controller_step(cs, self.cfg, self.patient.pk,
-                                self.cfg.target_bis + 10.0, h)
+            u = controller_step(cs, self.cfg, self.model, self.cfg.target_bis + 10.0)
             assert u > u_ss
 
     def test_output_bounded_and_deterministic(self):
@@ -167,7 +169,7 @@ class TestControllerStep:
             cs = ControllerState.initial(self.cfg, awake_bis=self.patient.hill.e0)
             out = []
             for bis in readings:
-                u = controller_step(cs, self.cfg, self.patient.pk, bis, 1 / 60)
+                u = controller_step(cs, self.cfg, self.model, bis)
                 assert 0.0 <= u <= self.cfg.u_max
                 out.append(u)
             return out
@@ -177,23 +179,23 @@ class TestControllerStep:
     def test_integrator_frozen_at_saturation(self):
         cfg = ControllerConfig(u_max=5.0, nominal=NominalHillParams(e0=self.patient.hill.e0))
         cs = ControllerState.initial(cfg, awake_bis=self.patient.hill.e0)
-        u = controller_step(cs, cfg, self.patient.pk, self.patient.hill.e0, 1 / 60)
+        u = controller_step(cs, cfg, self.model, self.patient.hill.e0)
         assert u == 5.0
         frozen = cs.integrator
-        u = controller_step(cs, cfg, self.patient.pk, self.patient.hill.e0, 1 / 60)
+        u = controller_step(cs, cfg, self.model, self.patient.hill.e0)
         assert u == 5.0
         assert cs.integrator == frozen
 
     def test_non_finite_reading_rejected(self):
         cs = ControllerState.initial(self.cfg, awake_bis=self.patient.hill.e0)
         with pytest.raises(ControllerError):
-            controller_step(cs, self.cfg, self.patient.pk, math.nan, 1 / 60)
+            controller_step(cs, self.cfg, self.model, math.nan)
 
     def test_unresolved_nominal_rejected(self):
         cfg = ControllerConfig()
         cs = ControllerState.initial(cfg, awake_bis=93.1)
         with pytest.raises(ControllerError, match="nominal"):
-            controller_step(cs, cfg, self.patient.pk, 93.1, 1 / 60)
+            controller_step(cs, cfg, self.model, 93.1)
 
     def test_config_validation(self):
         with pytest.raises(ControllerError):
@@ -202,6 +204,17 @@ class TestControllerStep:
             ControllerConfig(u_max=0.0).validate()
         with pytest.raises(ControllerError):
             ControllerConfig(target_bis=95.0, nominal=NominalHillParams(e0=93.1)).validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("kp", math.nan), ("ki", math.inf), ("tf1", math.nan), ("tf2", math.inf),
+        ("u_max", math.inf), ("target_bis", math.nan)])
+    def test_non_finite_setting_rejected_before_the_run(self, field, value):
+        cfg = ControllerConfig(nominal=NominalHillParams(e0=93.1), **{field: value})
+        with pytest.raises(ControllerError, match=f"{field} must be finite"):
+            cfg.validate()
+        scenario = Scenario(patient_id=13, duration=1.0, controller=replace(cfg, nominal=None))
+        with pytest.raises(ControllerError, match=f"^{field} must be finite"):
+            run_closed_loop(scenario)
 
     @pytest.mark.parametrize("target", [3.0, 93.1 - 87.5])
     def test_unreachable_target_rejected(self, target):

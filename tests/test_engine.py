@@ -7,6 +7,7 @@ from bisloop import (DisturbancePulse, NoiseKind, NoiseModel, Scenario,
                      ScenarioError, cohort_member, disturbance_at, noise_sample,
                      run_closed_loop, run_many, run_open_loop)
 from bisloop.control import inverse_hill
+from bisloop.engine import MAX_STEPS
 from bisloop.metrics import induction_time
 
 
@@ -213,6 +214,9 @@ class TestOpenLoop:
         ({"duration": math.inf}, "duration must be finite"),
         ({"duration": 1.0, "h": math.nan}, "h must be finite"),
         ({"duration": 1.0, "seed": -1}, "seed must be >= 0"),
+        ({"duration": 1e12}, "exceeds MAX_STEPS"),
+        ({"duration": 1.0, "disturbance": (DisturbancePulse(0.0, 1.0, math.nan),)},
+         "disturbance pulse"),
     ])
     def test_bad_run_settings_rejected(self, kwargs, match):
         with pytest.raises(ScenarioError, match=match):
@@ -277,6 +281,23 @@ class TestScenarioValidation:
     def test_non_finite_settings_and_negative_seed_rejected(self, kwargs, match):
         with pytest.raises(ScenarioError, match=match):
             Scenario(patient_id=13, **kwargs)
+
+    @pytest.mark.parametrize("duration, h", [(1e12, 1 / 60), (1e10, 1e-300)])
+    def test_step_budget_enforced(self, duration, h):
+        # constructed, never run: at the default h, 1e12 min is 6e13 steps
+        with pytest.raises(ScenarioError, match=r"steps .* exceeds MAX_STEPS=1000000"):
+            Scenario(patient_id=13, duration=duration, h=h)
+
+    def test_step_budget_boundary_accepted(self):
+        assert Scenario(patient_id=13, duration=0.5 * MAX_STEPS, h=0.5).n_steps == MAX_STEPS
+
+    @pytest.mark.parametrize("pulse", [DisturbancePulse(0.0, -1.0, 5.0),
+                                       DisturbancePulse(math.nan, 1.0, 5.0),
+                                       DisturbancePulse(0.0, math.inf, 5.0),
+                                       DisturbancePulse(0.0, 1.0, math.nan)])
+    def test_bad_pulse_rejected(self, pulse):
+        with pytest.raises(ScenarioError, match="disturbance pulse"):
+            Scenario(patient_id=13, disturbance=(pulse,))
 
     def test_patient_and_id_mutually_exclusive(self):
         p = cohort_member(13)

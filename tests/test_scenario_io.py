@@ -69,6 +69,10 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match=f"{key}: must be finite"):
             parse_scenario(doc)
 
+    def test_step_budget_enforced(self):
+        with pytest.raises(ScenarioError, match=r"6e\+13 steps .* exceeds MAX_STEPS"):
+            parse_scenario('{"duration_min": 1e12}')
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ScenarioError, match="seed: must be >= 0"):
             parse_scenario('{"seed": -1}')
@@ -162,8 +166,7 @@ class TestTrajectoryCsv:
             assert column == name or column.startswith(name + "_")
 
     # The digests pin the CSV bytes of a noisy, pulsed closed-loop run and of
-    # a multi-breakpoint open-loop run, as written before the engine's two
-    # runners were merged into one step loop.
+    # a multi-breakpoint open-loop run under the exact zero-order-hold PK step.
     def test_closed_loop_csv_bytes_pinned(self):
         s = Scenario(patient_id=7, duration=10.0, seed=3,
                      noise=NoiseModel(NoiseKind.GAUSSIAN, 2.0),
@@ -171,7 +174,7 @@ class TestTrajectoryCsv:
                                   DisturbancePulse(6.0, 1.5, -8.0)))
         text = write_trajectory_csv(run_closed_loop(s))
         assert _sha256(text) == \
-            "e3ffff28cdc49a1f5818d94ccb25074111f7b6f0b748ea5833848ae0f4be3cc5"
+            "7c488551ec5157af471aafdad3629b6408ac30d0c0764728576a84c67e23ad36"
 
     def test_open_loop_csv_bytes_pinned(self):
         profile = ((0.0, 40.0), (1.0, 12.5), (4.0, 0.0), (6.5, 25.0))
@@ -180,7 +183,7 @@ class TestTrajectoryCsv:
                              disturbance=(DisturbancePulse(3.0, 2.0, -6.0),), seed=5)
         text = write_trajectory_csv(traj)
         assert _sha256(text) == \
-            "bc72cb34307d9e3e16082f302991ba61cccdc9e572be86b059c3fd8dae448f84"
+            "a12aafc4d4ed99add40a02114e72a9d4c3bbfe9e34b0a82352a8f8be97662706"
 
 
 class TestCohortCsv:
