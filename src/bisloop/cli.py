@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 scenario/parse errors, 3 model errors,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -77,7 +78,7 @@ def cmd_cohort(args) -> int:
     scenario = _read_scenario(args.scenario)
     cohort = builtin_cohort(scenario.pk_preset)
     runs = [replace(scenario, patient_id=None, patient=p) for p in cohort]
-    trajectories = run_many(runs, workers=args.workers)
+    trajectories = run_many(runs)
     reports = []
     for p, traj in zip(cohort, trajectories):
         reports.append((p.id, summarize(traj, scenario.controller.target_bis)))
@@ -90,6 +91,8 @@ def _parse_grid(spec: str) -> list[float]:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise ScenarioError(f"--grid expects A:B:STEP, got {spec!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ScenarioError(f"--grid expects finite A, B and STEP, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ScenarioError(f"--grid expects A <= B and STEP > 0, got {spec!r}")
     n = int((hi - lo) / step + 1e-9) + 1
@@ -161,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohort", help="run a scenario for all 13 patients")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted for compatibility; has no effect (the cohort "
+                        "runs as the lanes of one vectorised loop)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cohort)
 

@@ -10,8 +10,6 @@ seed.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -223,10 +221,6 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
                 scenario.seed, control)
 
 
-# Trajectory channels _closed_loop_lanes can return, in its per-step order.
-LANE_CHANNELS = ("bis_true", "bis_measured", "bis_filtered")
-
-
 def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a, passthrough
                ) -> tuple[np.ndarray, np.ndarray]:
     """lp2_step on lane arrays; the new x2 is the filter output."""
@@ -235,85 +229,85 @@ def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a, passthrough
     return x1, x2
 
 
-def _closed_loop_lanes(template: Scenario, patients: Sequence[VirtualPatient],
-                       tf2: Sequence[float], channel: str) -> np.ndarray:
-    """Noise-free closed loop on L lanes at once; one channel, shape (n_steps, L).
+def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> np.ndarray:
+    """run_closed_loop on L scenarios at once: the named TRAJECTORY_FIELDS,
+    shape (n_steps, len(names), L).
 
-    Lane j is run_closed_loop(template) with the patient patients[j], the
-    innovation filter tf2[j] and the controller's nominal curve resolved from
-    that patient (the template's nominal and noise model are not applied).
-    Everything else (h, steps, disturbance, controller settings, internal
-    model) is shared.  Each step repeats the scalar loop's arithmetic
-    operation for operation, with the plant and the internal model advanced
-    by one DiscretePk step over 2L columns.  Failures raise the scalar loop's error
-    type, naming the step, the time and the first failing lane.
+    The scenarios share h and the step count; all else is per lane.  Lane j
+    equals run_closed_loop(scenarios[j]) bit for bit: each step repeats the
+    scalar loop's arithmetic in its order, powers by np.float_power (the libm
+    pow that float.__pow__ calls), and the plants and internal models advance
+    by one DiscretePk step over 2L columns.  Failures raise the scalar loop's
+    error type, naming the step, the time and the first failing lane.
     """
-    column = LANE_CHANNELS.index(channel)
-    n_lanes = len(patients)
-    h = template.h
-    cfgs = []
-    for p, tf in zip(patients, tf2):
-        # pk_nominal depends only on the shared model demographics.
-        cfg, pk_nominal = resolve_controller(
-            replace(template.controller, tf2=tf, nominal=None), p)
-        cfgs.append(cfg)
-    shared = cfgs[0]
+    n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
+    patients = [s.resolve_patient() for s in scenarios]
+    cfgs, pk_models = zip(*map(resolve_controller, (s.controller for s in scenarios), patients))
 
     def fail(exc_type, k: int, lane: int, message) -> None:
         raise exc_type(f"step {k} (t={k * h:.4f} min): patient {patients[lane].id}, "
-                       f"tf2={tf2[lane]:.6g} min: {message}")
+                       f"tf2={cfgs[lane].tf2:.6g} min: {message}")
 
-    def lanes(values) -> np.ndarray:
-        return np.fromiter(values, dtype=float)
+    def lanes(objs, keys: str) -> list[np.ndarray]:
+        return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
 
+    e0, emax, ce50, gamma_n = lanes([c.nominal for c in cfgs], "e0 emax ce50 gamma")
+    p_e0, p_emax, p_ce50, p_gamma = lanes([p.hill for p in patients], "e0 emax ce50 gamma")
+    kp, ki, u_max, tf1, tf2 = lanes(cfgs, "kp ki u_max tf1 tf2")
+    inv_gamma, p_c50g = 1.0 / gamma_n, np.float_power(p_ce50, p_gamma)
     # resolve_controller validated every target, so each one inverts.
-    ce_ref = lanes(inverse_hill(c.target_bis, c.nominal) for c in cfgs)
-    # The nominal curve is the population one at each patient's own e0.
-    e0 = lanes(p.hill.e0 for p in patients)
-    nominal = shared.nominal
-    emax, ce50, inv_gamma = nominal.emax, nominal.ce50, 1.0 / nominal.gamma
-    hill_emax = lanes(p.hill.emax for p in patients)
-    hill_gamma = lanes(p.hill.gamma for p in patients)
-    hill_c50g = lanes(p.hill.ce50 ** p.hill.gamma for p in patients)
+    ce_ref = np.array([inverse_hill(c.target_bis, c.nominal) for c in cfgs])
+    a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
+              for tf in (tf1, tf2))
+    pass1, pass2 = tf1 == 0.0, tf2 == 0.0
 
-    # Columns 0..L-1 are the patients, L..2L-1 the controller's internal model.
-    models = [DiscretePk(p.pk, h) for p in patients] + [DiscretePk(pk_nominal, h)] * n_lanes
-    phi = np.stack([m.phi for m in models], axis=-1)        # (4, 4, 2L)
-    gamma = np.stack([m.gamma for m in models], axis=-1)    # (4, 2L)
+    # Columns 0..L-1 are the patients, L..2L-1 the controller's internal
+    # models, with one DiscretePk per distinct PK set.
+    pks = [p.pk for p in patients] + list(pk_models)
+    models = {pk: DiscretePk(pk, h) for pk in dict.fromkeys(pks)}
+    phi = np.stack([models[pk].phi for pk in pks], axis=-1)        # (4, 4, 2L)
+    gamma = np.stack([models[pk].gamma for pk in pks], axis=-1)    # (4, 2L)
 
-    a1 = 0.0 if shared.tf1 == 0.0 else 1.0 - math.exp(-h / shared.tf1)
-    a2 = lanes(0.0 if tf == 0.0 else 1.0 - math.exp(-h / tf) for tf in tf2)
-    pass2 = np.array([tf == 0.0 for tf in tf2])
-    kp, ki, u_max = shared.kp, shared.ki, shared.u_max
+    # Pulse sums per step of each distinct profile; each lane's noise stream.
+    profiles = {d: i for i, d in enumerate(dict.fromkeys(s.disturbance for s in scenarios))}
+    pulses = np.array([[disturbance_at(d, k * h) for d in profiles] for k in range(n_steps)])
+    profile = np.array([profiles[s.disturbance] for s in scenarios])
+    noise = np.zeros((n_steps, n_lanes))
+    for j, s in enumerate(scenarios):
+        if s.noise.kind is not NoiseKind.NONE and s.noise.sigma != 0.0:
+            noise[:, j] = np.random.default_rng(s.seed).normal(0.0, s.noise.sigma, n_steps)
 
+    picks = [TRAJECTORY_FIELDS.index(name) for name in names]
     s = np.zeros((4, 2 * n_lanes))
-    f1 = (e0, e0)
+    f1 = (p_e0, p_e0)
     f2 = (np.zeros(n_lanes), np.zeros(n_lanes))
     integrator = np.zeros(n_lanes)
-    out = np.empty((template.n_steps, n_lanes))
-    for step in range(template.n_steps):
+    out = np.empty((n_steps, len(picks), n_lanes))
+    for step in range(n_steps):
         t = step * h
         ce, ce_model = s[3, :n_lanes], s[3, n_lanes:]
         # At ce = 0 this gives e0 exactly, as hill_bis's ce <= 0 branch does.
-        x = ce ** hill_gamma
-        bt = e0 - hill_emax * x / (x + hill_c50g)
-        bm = bt + disturbance_at(template.disturbance, t)
+        x = np.float_power(ce, p_gamma)
+        bt = p_e0 - p_emax * x / (x + p_c50g)
+        bm = bt + pulses[step, profile] + noise[step]
         bm = np.where(bm < 0.0, 0.0, np.where(bm > 100.0, 100.0, bm))
         if not np.isfinite(bm).all():
             j = int(np.argmin(np.isfinite(bm)))
             fail(ControllerError, step, j, f"measured BIS is not finite: {bm[j]!r}")
 
-        f1 = _lp2_lanes(*f1, bm, a1, shared.tf1 == 0.0)
+        f1 = _lp2_lanes(*f1, bm, a1, pass1)
         bis_f = f1[1]
         den = emax - e0 + bis_f
+        # A validated target keeps den > 0 at every reading >= e0, so den <= 0
+        # is exactly inverse_hill's out-of-domain case.
         if (den <= 0.0).any():
             j = int(np.argmax(den <= 0.0))
             try:
                 inverse_hill(float(bis_f[j]), cfgs[j].nominal)
             except ControllerError as e:
                 fail(ControllerError, step, j, e)
-        # Readings at or above e0 (den > 0 there) map to 0, as in inverse_hill.
-        ce_meas = ce50 * np.maximum((e0 - bis_f) / den, 0.0) ** inv_gamma
+        # Readings at or above e0 map to +0.0, as in inverse_hill.
+        ce_meas = ce50 * np.float_power(np.maximum((e0 - bis_f) / den, 0.0), inv_gamma)
         f2 = _lp2_lanes(*f2, ce_meas - ce_model, a2, pass2)
         err = ce_ref - (ce_model + f2[1])
 
@@ -330,7 +324,9 @@ def _closed_loop_lanes(template: Scenario, patients: Sequence[VirtualPatient],
             fail(ControllerError, step, j,
                  f"controller state diverged: u={u[j]!r}, err={err[j]!r}")
 
-        out[step] = (bt, bm, bis_f)[column]
+        row = (t, bt, bm, bis_f, u, *s[:, :n_lanes], ce_model, f2[1], ce_ref)
+        for i, c in enumerate(picks):
+            out[step, i] = row[c]
         s = (phi * s).sum(axis=1) + gamma * np.concatenate((u, u))
         s = np.where(s < 0.0, 0.0, s)
         if not np.isfinite(s).all():
@@ -374,16 +370,27 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
                 lambda t, bm: (_rate_at(profile, t), None, None, None, None))
 
 
-def run_many(scenarios: Iterable[Scenario], workers: int | None = None) -> list[Trajectory]:
-    """Run independent scenarios, preserving input order.
+def run_many(scenarios: Iterable[Scenario]) -> list[Trajectory]:
+    """run_closed_loop on every scenario, in input order.
 
-    Each run owns its state and RNG, so scenarios parallelize freely;
-    results are aggregated deterministically in input order.
+    Scenarios sharing h and the step count run together as the lanes of
+    _closed_loop_lanes, bit-identical to run_closed_loop; a scenario alone
+    in its group runs the scalar loop, which is faster for one lane.  Groups
+    run in order of first appearance, so a failure raises what the first
+    failing group raises.
     """
     scenarios = list(scenarios)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(scenarios) <= 1:
-        return [run_closed_loop(s) for s in scenarios]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_closed_loop, scenarios))
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, s in enumerate(scenarios):
+        groups.setdefault((s.h, s.n_steps), []).append(i)
+    out: list[Trajectory] = [None] * len(scenarios)
+    for (_, n_steps), members in groups.items():
+        # The scalar loop also rejects a run without steps.
+        if len(members) == 1 or n_steps < 1:
+            for i in members:
+                out[i] = run_closed_loop(scenarios[i])
+            continue
+        lanes = _closed_loop_lanes([scenarios[i] for i in members], TRAJECTORY_FIELDS)
+        for j, i in enumerate(members):
+            out[i] = Trajectory(*(lanes[:, f, j].tolist() for f in range(lanes.shape[1])))
+    return out

@@ -9,11 +9,10 @@ budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .control import inverse_hill
-from .engine import (LANE_CHANNELS, DisturbancePulse, NoiseModel, Scenario, Trajectory,
-                     _closed_loop_lanes)
+from .engine import DisturbancePulse, NoiseModel, Scenario, Trajectory, _closed_loop_lanes
 from .errors import BisloopError, ScenarioError
 from .patient import VirtualPatient, builtin_cohort, hill_bis
 
@@ -159,12 +158,8 @@ def default_tuning_scenario() -> Scenario:
     )
 
 
-def _lane_iaes(template: Scenario, patients: list[VirtualPatient], tf2: list[float],
-               signal: str) -> list[float]:
-    """IAE of every lane of _closed_loop_lanes against the template's target."""
-    ys = _closed_loop_lanes(template, patients, tf2, signal)
-    ts = [k * template.h for k in range(template.n_steps)]
-    return _trapezoid_iae(ts, ys, template.controller.target_bis).tolist()
+# The trajectory channels tune_tf2 can score.
+LANE_CHANNELS = ("bis_true", "bis_measured", "bis_filtered")
 
 
 def tune_tf2(grid: list[float], threshold: float = 0.30,
@@ -179,10 +174,10 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     The IAE channel defaults to the measured BIS, which on the noise-free
     tuning scenario is the patient's apparent depth including the arousal
     pulse; bis_true and bis_filtered can be scored too.  Every (tf2,
-    patient) run of the sweep advances together in one vectorised loop with
-    the scalar loop's arithmetic; workers is accepted for compatibility and
-    has no effect.  Raises TuningError (carrying the full curve) when no
-    grid point meets the threshold.
+    patient) run of the sweep is one lane of _closed_loop_lanes, bit-identical
+    to run_closed_loop; workers is ignored, kept for callers that still pass
+    it.  Raises TuningError (carrying the full curve) when no grid point
+    meets the threshold.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
@@ -202,10 +197,16 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
             f"tuning template has {template.n_steps} steps (h={template.h} min, "
             f"duration={template.duration} min); the sweep needs at least 2")
 
-    # The baseline lanes double as the tf2 = 0 grid point.
+    # The baseline lanes double as the tf2 = 0 grid point.  Each lane is the
+    # template on one patient, noise-free, with the nominal curve resolved
+    # from that patient.
     settings = [0.0] + [tf2 for tf2 in grid if tf2 != 0.0]
-    iaes = _lane_iaes(template, cohort * len(settings),
-                      [tf2 for tf2 in settings for _ in cohort], signal)
+    runs = [replace(template, patient_id=None, patient=p, noise=NoiseModel(),
+                    controller=replace(template.controller, tf2=tf2, nominal=None))
+            for tf2 in settings for p in cohort]
+    ys = _closed_loop_lanes(runs, (signal,))[:, 0]
+    ts = [k * template.h for k in range(template.n_steps)]
+    iaes = _trapezoid_iae(ts, ys, template.controller.target_bis).tolist()
     n = len(cohort)
     baseline = iaes[:n]
     d_at = {tf2: degradation_ratio(iaes[i * n:(i + 1) * n], baseline)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -138,6 +139,17 @@ class TestCohortCommand:
         assert len(lines) == 14
         assert [int(l.split(",")[0]) for l in lines[1:]] == list(range(1, 14))
 
+    def test_noisy_pulsed_cohort_bytes_pinned(self, scenario_file, capsys):
+        path = scenario_file({
+            "duration_min": 30, "seed": 11,
+            "noise": {"kind": "gaussian", "sigma_bis": 2.0},
+            "disturbance": [{"start_min": 10, "duration_min": 2, "amplitude_bis": 10},
+                            {"start_min": 20, "duration_min": 1, "amplitude_bis": -8}]})
+        assert main(["cohort", "--scenario", path]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "3c96ffeab42886d7efefb11a68ad39f6f8dd6818dddabdc4a32024fd1e5bac9b"
+
 
 class TestTuneCommand:
     def test_single_point_grid(self, tmp_path, capsys):
@@ -152,7 +164,9 @@ class TestTuneCommand:
         assert plot.exists()
 
     def test_bad_grid_spec(self, capsys):
-        assert main(["tune-tf2", "--grid", "nope"]) == 2
+        for spec in ("nope", "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1:inf"):
+            assert main(["tune-tf2", "--grid", spec]) == 2, spec
+            assert "--grid expects" in capsys.readouterr().err
 
     def test_controller_failure_in_a_lane_exits_4(self, scenario_file, capsys):
         path = scenario_file({"duration_min": 30, "h_min": 5.0})

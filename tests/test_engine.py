@@ -1,11 +1,15 @@
 import math
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bisloop import (DisturbancePulse, NoiseKind, NoiseModel, Scenario,
-                     ScenarioError, cohort_member, disturbance_at, noise_sample,
-                     run_closed_loop, run_many, run_open_loop)
+from bisloop import (BisloopError, ControllerConfig, DisturbancePulse, NoiseKind,
+                     NoiseModel, NominalHillParams, Scenario, ScenarioError, cohort_member,
+                     disturbance_at, noise_sample, run_closed_loop, run_many, run_open_loop)
 from bisloop.control import inverse_hill
 from bisloop.engine import MAX_STEPS
 from bisloop.metrics import induction_time
@@ -246,20 +250,66 @@ class TestStepSizeSensitivity:
         assert max(late) < 2e-2
 
 
+# One run_many input: every per-lane setting varies.  Durations of 1 and 1.5
+# min form the shared groups; the scenario drawn separately runs 0.75 min,
+# alone in its group.  A deep negative pulse can pin the monitor at 0, where
+# the nominal curve has no preimage, so some inputs fail.
+PULSES = st.lists(st.builds(DisturbancePulse, st.floats(0.0, 1.5), st.floats(0.05, 1.0),
+                            st.floats(-100.0, 30.0)), max_size=2).map(tuple)
+CONTROLLERS = st.builds(
+    ControllerConfig, target_bis=st.floats(30.0, 70.0), tf1=st.floats(0.0, 0.5),
+    tf2=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), kp=st.floats(0.0, 40.0),
+    ki=st.floats(0.0, 10.0),
+    nominal=st.one_of(st.none(), st.builds(NominalHillParams, st.floats(80.0, 100.0))))
+
+
+def _scenarios(durations):
+    return st.builds(Scenario, patient_id=st.integers(1, 13), controller=CONTROLLERS,
+                     duration=durations,
+                     noise=st.builds(NoiseModel, st.just(NoiseKind.GAUSSIAN),
+                                     st.floats(0.0, 8.0)),
+                     disturbance=PULSES, seed=st.integers(0, 2**32))
+
+
+def _failure(scenario):
+    """The step at which run_closed_loop fails (-1 before the run) and the
+    error type, or None when it runs."""
+    try:
+        run_closed_loop(scenario)
+    except BisloopError as e:
+        step = re.match(r"step (\d+) ", str(e))
+        return (int(step.group(1)) if step else -1), type(e)
+    return None
+
+
 class TestRunMany:
+    @settings(max_examples=30)
+    @given(shared=st.lists(_scenarios(st.sampled_from([1.0, 1.5])), min_size=2, max_size=6),
+           single=_scenarios(st.just(0.75)), at=st.integers(0, 6))
+    def test_equals_run_closed_loop_bit_for_bit(self, shared, single, at):
+        scenarios = shared[:at] + [single] + shared[at:]
+        failures = [_failure(s) for s in scenarios]
+        if any(failures):
+            # Groups run in order of first appearance; the first group with a
+            # failure raises the type of its earliest-step failure.
+            groups = {}
+            for s, f in zip(scenarios, failures):
+                groups.setdefault((s.h, s.n_steps), []).append(f)
+            first = min((f for f in next(g for g in groups.values() if any(g)) if f),
+                        key=lambda f: f[0])
+            with pytest.raises(first[1]):
+                run_many(scenarios)
+            return
+        got = run_many(scenarios)
+        assert [repr(asdict(t)) for t in got] == \
+            [repr(asdict(run_closed_loop(s))) for s in scenarios]
+
     def test_preserves_order_and_matches_serial(self):
         scenarios = [Scenario(patient_id=i, duration=1.0) for i in (1, 5, 13)]
         serial = [run_closed_loop(s) for s in scenarios]
-        batched = run_many(scenarios, workers=1)
+        batched = run_many(scenarios)
         for a, b in zip(serial, batched):
             assert a.u == b.u
-
-    def test_parallel_workers_give_identical_results(self):
-        scenarios = [Scenario(patient_id=i, duration=0.5) for i in (2, 3)]
-        serial = run_many(scenarios, workers=1)
-        parallel = run_many(scenarios, workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.u == b.u and a.bis_true == b.bis_true
 
 
 class TestScenarioValidation:

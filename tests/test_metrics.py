@@ -11,7 +11,8 @@ from bisloop import (DEFAULT_TF2_MIN, ControllerConfig, ControllerError, Disturb
                      iae, induction_time, inverse_hill, run_closed_loop, summarize,
                      tune_tf2)
 from bisloop import metrics
-from bisloop.metrics import _lane_iaes, default_tuning_scenario
+from bisloop.engine import NoiseModel, _closed_loop_lanes
+from bisloop.metrics import _trapezoid_iae, default_tuning_scenario
 
 
 def synthetic_trajectory(values, h=1 / 60):
@@ -194,9 +195,9 @@ class TestTuneTf2:
         lane_counts = []
         kernel = metrics._closed_loop_lanes
 
-        def counting(template, patients, tf2, signal):
-            lane_counts.append(len(patients))
-            return kernel(template, patients, tf2, signal)
+        def counting(scenarios, names):
+            lane_counts.append(len(scenarios))
+            return kernel(scenarios, names)
 
         monkeypatch.setattr(metrics, "_closed_loop_lanes", counting)
         result = tune_tf2([0.0, 0.5], threshold=math.inf)
@@ -228,6 +229,16 @@ LANES = st.lists(st.tuples(st.integers(1, 13),
                  min_size=1, max_size=4)
 
 
+def _lane_iaes(template, patients, tf2, signal):
+    """IAE of each lane of the kernel, run on the scenarios tune_tf2 builds."""
+    runs = [replace(template, patient_id=None, patient=p, noise=NoiseModel(),
+                    controller=replace(template.controller, tf2=t, nominal=None))
+            for p, t in zip(patients, tf2)]
+    ys = _closed_loop_lanes(runs, (signal,))[:, 0]
+    ts = [k * template.h for k in range(template.n_steps)]
+    return _trapezoid_iae(ts, ys, template.controller.target_bis).tolist()
+
+
 class TestLaneParity:
     """Every lane of the batched sweep loop matches the scalar run_closed_loop."""
 
@@ -251,7 +262,7 @@ class TestLaneParity:
             return
         got = _lane_iaes(template, patients, tf2, signal)
         assert all(type(v) is float for v in got)
-        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert got == expected
 
     def test_cohort_matches_scalar_on_tuning_scenario(self, cohort):
         template = replace(default_tuning_scenario(), patient_id=None)
@@ -259,7 +270,7 @@ class TestLaneParity:
             iae(run_closed_loop(replace(template, patient=p)), 50.0, signal="bis_measured")
             for p in cohort]
         got = _lane_iaes(template, cohort, [DEFAULT_TF2_MIN] * len(cohort), "bis_measured")
-        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert got == expected
 
 
 class TestCeBisCurve:
