@@ -7,10 +7,9 @@ innovation-filter tuning sweep.
 """
 
 from .control import (ControllerConfig, ControllerState, DEFAULT_TF2_MIN, Lp2State,
-                      NominalHillParams, Saturation, controller_step, inverse_hill,
-                      lp2_step, saturate)
+                      controller_step, inverse_hill, lp2_step)
 from .engine import (DisturbancePulse, NoiseKind, NoiseModel, Scenario, Trajectory,
-                     disturbance_at, noise_sample, run_closed_loop, run_many,
+                     disturbance_at, noise_stream, run_closed_loop, run_many,
                      run_open_loop)
 from .errors import (BisloopError, ControllerError, ModelError,
                      NonPhysicalParameterError, ScenarioError)
@@ -30,14 +29,14 @@ __all__ = [
     "BisloopError", "ControllerConfig", "ControllerError", "ControllerState",
     "DEFAULT_TF2_MIN", "Demographics", "DiscretePk", "DisturbancePulse", "HillParams",
     "Lp2State", "MetricsReport", "ModelError", "NoiseKind", "NoiseModel",
-    "NominalHillParams", "NonPhysicalParameterError", "PatientState", "PkParams",
-    "PkPreset", "Saturation", "Scenario", "ScenarioError", "Sex", "SweepResult",
+    "NonPhysicalParameterError", "PatientState", "PkParams",
+    "PkPreset", "Scenario", "ScenarioError", "Sex", "SweepResult",
     "Trajectory", "TuningError", "VirtualPatient", "builtin_cohort",
     "ce_bis_curve", "cohort_csv", "cohort_member", "cohort_target_window",
     "controller_step", "degradation_ratio", "derive_pk_params", "disturbance_at",
     "hill_bis", "iae", "induction_time", "inverse_hill", "lean_body_mass",
-    "lp2_step", "metrics_csv", "noise_sample", "parse_scenario", "pk_derivatives",
-    "render_svg_plot", "run_closed_loop", "run_many", "run_open_loop", "saturate",
+    "lp2_step", "metrics_csv", "noise_stream", "parse_scenario", "pk_derivatives",
+    "render_svg_plot", "run_closed_loop", "run_many", "run_open_loop",
     "scenario_to_dict", "summarize", "sweep_csv", "tune_tf2",
     "write_trajectory_csv",
 ]

@@ -3,21 +3,24 @@
 The loop inverts the measured BIS through a population-average Hill curve to
 get a measurement-implied effect-site concentration, compares it against an
 internal linear patient model, and passes the discrepancy through a low-pass
-filter to form an innovation signal.  A saturated PI tracking law on the
-concentration error produces the infusion rate.  The innovation term cancels
-the plant/model mismatch at low frequency, so the measured BIS settles on the
-target with zero steady-state error even though the individual Hill
-parameters are unknown.
+filter to form an innovation signal.  A PI tracking law on the concentration
+error, clamped to the pump range, produces the infusion rate.  The
+innovation term cancels the plant/model mismatch at low frequency, so the
+measured BIS settles on the target with zero steady-state error even though
+the individual Hill parameters are unknown.
+
+The nominal curve's only per-patient value is the measured awake BIS e0, and
+the internal model is one fixed PK set, the cohort's average individual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 
 from .errors import ControllerError
-from .patient import Demographics, DiscretePk, HillParams, PatientState, Sex, ZERO_STATE
+from .patient import (Demographics, DiscretePk, HillParams, PatientState, PkPreset, Sex,
+                      ZERO_STATE, derive_pk_params)
 
 # Population-average Hill parameters used by the controller; only the awake
 # baseline e0 is measurable per patient before induction.
@@ -30,30 +33,21 @@ POPULATION_CE50 = 4.92
 # clinical 4-minute window while still smoothing measurement noise.
 DEFAULT_TF2_MIN = 9.7871 / 60.0
 
-# Demographics assumed for the internal model when the true patient's are
-# not supplied: the cohort's average individual.
+# The internal model is the cohort's average individual under the standard
+# covariate preset, whoever the patient is.
 DEFAULT_MODEL_DEMOGRAPHICS = Demographics(age=38, height_cm=169.0,
                                           weight_kg=65.0, sex=Sex.FEMALE)
+MODEL_PK = derive_pk_params(DEFAULT_MODEL_DEMOGRAPHICS, PkPreset.SCHNIDER_CORRECTED)
 
 
-@dataclass(frozen=True)
-class NominalHillParams:
-    """Population Hill curve with a per-patient measured awake baseline."""
-
-    e0: float
-    emax: float = POPULATION_EMAX
-    gamma: float = POPULATION_GAMMA
-    ce50: float = POPULATION_CE50
-
-
-def inverse_hill(bis: float, curve: NominalHillParams | HillParams) -> float:
+def inverse_hill(bis: float, curve: HillParams) -> float:
     """Effect-site concentration (mg/L) at which a Hill curve reads bis.
 
-    curve is the controller's nominal curve or a patient's own HillParams;
-    both carry e0, emax, ce50 and gamma.  Inverts the sigmoid:
-    ce50 * ((e0 - bis)/(emax - e0 + bis))^(1/gamma).  Readings at or above
-    the awake baseline map to 0 (no drug needed).  Raises ControllerError
-    when emax - e0 + bis <= 0, where the curve has no preimage.
+    curve is the controller's nominal curve or a patient's own.  Inverts the
+    sigmoid: ce50 * ((e0 - bis)/(emax - e0 + bis))^(1/gamma).  Readings at or
+    above the awake baseline map to 0 (no drug needed).  Raises
+    ControllerError when emax - e0 + bis <= 0, where the curve has no
+    preimage.
     """
     if bis >= curve.e0:
         return 0.0
@@ -98,30 +92,14 @@ def lp2_step(f: Lp2State, w: float, h: float) -> float:
     return f.x2
 
 
-class Saturation(Enum):
-    LOW = "low"
-    NONE = "none"
-    HIGH = "high"
-
-
-def saturate(u_raw: float, u_max: float) -> tuple[float, Saturation]:
-    """Clamp to [0, u_max]; the flag feeds the anti-windup logic."""
-    if u_max <= 0:
-        raise ControllerError(f"u_max must be positive, got {u_max}")
-    if u_raw < 0.0:
-        return 0.0, Saturation.LOW
-    if u_raw > u_max:
-        return u_max, Saturation.HIGH
-    return u_raw, Saturation.NONE
-
-
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     """Tuning knobs for one closed-loop run.
 
-    nominal is resolved per run (its e0 is the patient's measured awake
-    BIS); model_demographics personalizes the internal linear model and
-    falls back to the cohort average individual.
+    nominal_e0 is the measured awake BIS of the nominal curve; None resolves
+    it per run to the patient's own e0.  nominal, the curve itself, is the
+    population curve at that e0, derived once at construction (None while
+    nominal_e0 is).  An e0 outside (0, 100] raises ModelError.
     """
 
     target_bis: float = 50.0
@@ -130,8 +108,13 @@ class ControllerConfig:
     kp: float = 16.0                  # proportional gain [L/min]
     ki: float = 2.5                   # integral gain [L/min^2]
     u_max: float = 200.0              # pump limit [mg/min]
-    nominal: NominalHillParams | None = None
-    model_demographics: Demographics | None = None
+    nominal_e0: float | None = None   # awake BIS of the nominal curve
+    nominal: HillParams | None = field(init=False)
+
+    def __post_init__(self):
+        nominal = None if self.nominal_e0 is None else HillParams(
+            self.nominal_e0, POPULATION_EMAX, POPULATION_CE50, POPULATION_GAMMA)
+        object.__setattr__(self, "nominal", nominal)
 
     def validate(self):
         for name in ("tf1", "tf2", "kp", "ki"):
@@ -142,16 +125,16 @@ class ControllerConfig:
             raise ControllerError(f"u_max must be finite and positive, got {self.u_max}")
         if not math.isfinite(self.target_bis):
             raise ControllerError(f"target_bis must be finite, got {self.target_bis}")
-        if self.nominal is None:
+        e0 = self.nominal_e0
+        if e0 is None:
             return
-        e0, emax = self.nominal.e0, self.nominal.emax
         if not (0 < self.target_bis < e0):
             raise ControllerError(f"target_bis must lie in (0, e0={e0}), got {self.target_bis}")
         # inverse_hill's domain test, so an accepted target always inverts.
-        if emax - e0 + self.target_bis <= 0.0:
+        if POPULATION_EMAX - e0 + self.target_bis <= 0.0:
             raise ControllerError(
                 f"target_bis={self.target_bis} is below the nominal curve's reach "
-                f"e0 - emax = {e0} - {emax}")
+                f"e0 - emax = {e0} - {POPULATION_EMAX}")
 
 
 @dataclass
@@ -160,23 +143,17 @@ class ControllerState:
 
     The pre-filter starts at the awake baseline (that is what the monitor
     reads before induction); model and innovation states start drug-free.
-    The last_* fields expose the most recent internal signals for logging.
+    f1.x2 is the filtered BIS and f2.x2 the innovation after each step.
     """
 
     f1: Lp2State
     f2: Lp2State
     model_state: PatientState = ZERO_STATE
     integrator: float = 0.0
-    last_bis_filtered: float = 0.0
-    last_innovation: float = 0.0
-    last_ce_ref: float = 0.0
-    last_model_ce: float = 0.0
 
     @classmethod
     def initial(cls, cfg: ControllerConfig, awake_bis: float) -> "ControllerState":
-        return cls(f1=Lp2State(cfg.tf1, x1=awake_bis, x2=awake_bis),
-                   f2=Lp2State(cfg.tf2),
-                   last_bis_filtered=awake_bis)
+        return cls(f1=Lp2State(cfg.tf1, x1=awake_bis, x2=awake_bis), f2=Lp2State(cfg.tf2))
 
 
 def controller_step(cs: ControllerState, cfg: ControllerConfig, model: DiscretePk,
@@ -186,13 +163,15 @@ def controller_step(cs: ControllerState, cfg: ControllerConfig, model: DiscreteP
     Mutates cs.  Sequence: pre-filter the reading, invert it to a measured
     concentration, filter the model discrepancy into the innovation, form
     the tracking error against the inverted target, apply the PI law with
-    conditional-integration anti-windup, clamp to the pump range, and
-    advance the internal model under the issued rate.  model is that
-    internal model discretized at the control step h, which it carries.
+    conditional-integration anti-windup, clamp to [0, u_max], and advance
+    the internal model under the issued rate.  model is that internal model
+    discretized at the control step h, which it carries.
     """
-    h = model.h
+    h, u_max = model.h, cfg.u_max
     if cfg.nominal is None:
         raise ControllerError("ControllerConfig.nominal must be resolved before use")
+    if not u_max > 0:
+        raise ControllerError(f"u_max must be positive, got {u_max}")
     if not math.isfinite(measured_bis):
         raise ControllerError(f"measured BIS is not finite: {measured_bis!r}")
 
@@ -200,23 +179,18 @@ def controller_step(cs: ControllerState, cfg: ControllerConfig, model: DiscreteP
     bis_f = lp2_step(cs.f1, measured_bis, h)
     ce_meas = inverse_hill(bis_f, cfg.nominal)
     innovation = lp2_step(cs.f2, ce_meas - ce_model, h)
-    ce_ref = inverse_hill(cfg.target_bis, cfg.nominal)
-    err = ce_ref - (ce_model + innovation)
+    err = inverse_hill(cfg.target_bis, cfg.nominal) - (ce_model + innovation)
 
     proposed = cs.integrator + cfg.ki * err * h
-    u, flag = saturate(cfg.kp * err + proposed, cfg.u_max)
-    if (flag is Saturation.HIGH and err > 0) or (flag is Saturation.LOW and err < 0):
+    u = cfg.kp * err + proposed
+    if (u > u_max and err > 0.0) or (u < 0.0 and err < 0.0):
         # Integrating would push further into the active constraint: freeze.
-        u, flag = saturate(cfg.kp * err + cs.integrator, cfg.u_max)
+        u = cfg.kp * err + cs.integrator
     else:
         cs.integrator = proposed
-
+    u = 0.0 if u < 0.0 else (u_max if u > u_max else u)
     if not math.isfinite(u):
         raise ControllerError(f"controller state diverged: u={u!r}, err={err!r}")
 
     cs.model_state = model.step(cs.model_state, u)
-    cs.last_bis_filtered = bis_f
-    cs.last_innovation = innovation
-    cs.last_ce_ref = ce_ref
-    cs.last_model_ce = ce_model
     return u

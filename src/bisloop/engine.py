@@ -16,11 +16,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .control import (ControllerConfig, ControllerState, DEFAULT_MODEL_DEMOGRAPHICS,
-                      NominalHillParams, controller_step, inverse_hill)
+from .control import (MODEL_PK, POPULATION_CE50, POPULATION_EMAX, POPULATION_GAMMA,
+                      ControllerConfig, ControllerState, controller_step, inverse_hill)
 from .errors import ControllerError, ModelError, ScenarioError
-from .patient import (DiscretePk, PkParams, PkPreset, VirtualPatient, ZERO_STATE,
-                      cohort_member, derive_pk_params, hill_bis)
+from .patient import (AVERAGE_PATIENT_ID, DiscretePk, PkPreset, VirtualPatient, ZERO_STATE,
+                      cohort_member, hill_bis)
 
 # Step budget of one run: duration / h may not exceed it.  A million steps is
 # 11.6 days at the default 1-s step; the longest benchmark run has 14 400.
@@ -44,11 +44,12 @@ class NoiseModel:
             raise ScenarioError(f"noise sigma must be finite and >= 0, got {self.sigma}")
 
 
-def noise_sample(model: NoiseModel, rng: np.random.Generator) -> float:
-    """Draw one BIS offset; 0 for the no-noise model."""
+def noise_stream(model: NoiseModel, seed: int, n_steps: int) -> np.ndarray:
+    """A run's BIS offsets, one per step: all zero for the no-noise model,
+    else default_rng(seed).normal(0, sigma, n_steps)."""
     if model.kind is NoiseKind.NONE or model.sigma == 0.0:
-        return 0.0
-    return float(rng.normal(0.0, model.sigma))
+        return np.zeros(n_steps)
+    return np.random.default_rng(seed).normal(0.0, model.sigma, n_steps)
 
 
 class DisturbancePulse(NamedTuple):
@@ -90,7 +91,7 @@ class Scenario:
     def resolve_patient(self) -> VirtualPatient:
         if self.patient is not None:
             return self.patient
-        pid = 13 if self.patient_id is None else self.patient_id
+        pid = AVERAGE_PATIENT_ID if self.patient_id is None else self.patient_id
         return cohort_member(pid, self.pk_preset)
 
     @property
@@ -149,21 +150,13 @@ class Trajectory:
 TRAJECTORY_FIELDS = tuple(f.name for f in fields(Trajectory))
 
 
-def resolve_controller(cfg: ControllerConfig, patient: VirtualPatient
-                       ) -> tuple[ControllerConfig, PkParams]:
-    """Fill per-run controller pieces: nominal baseline and internal-model PK.
-
-    The internal model always uses the standard covariate preset; its
-    demographics default to the cohort average individual.
-    """
-    nominal = cfg.nominal
-    if nominal is None:
-        nominal = NominalHillParams(e0=patient.hill.e0)
-    demo = cfg.model_demographics or DEFAULT_MODEL_DEMOGRAPHICS
-    pk_nominal = derive_pk_params(demo, PkPreset.SCHNIDER_CORRECTED)
-    resolved = replace(cfg, nominal=nominal)
-    resolved.validate()
-    return resolved, pk_nominal
+def resolve_controller(cfg: ControllerConfig, patient: VirtualPatient) -> ControllerConfig:
+    """The run's validated controller config, its nominal e0 defaulting to the
+    patient's measured awake BIS."""
+    if cfg.nominal_e0 is None:
+        cfg = replace(cfg, nominal_e0=patient.hill.e0)
+    cfg.validate()
+    return cfg
 
 
 def _run(patient: VirtualPatient, duration: float, h: float,
@@ -179,7 +172,7 @@ def _run(patient: VirtualPatient, duration: float, h: float,
     n_steps = _step_count(duration, h)
     if n_steps < 1:
         raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
-    rng = np.random.default_rng(seed)
+    offsets = noise_stream(noise, seed, n_steps).tolist()
     hill, advance = patient.hill, DiscretePk(patient.pk, h).step
     state = ZERO_STATE
     # Every step's values in TRAJECTORY_FIELDS order, in one flat list of
@@ -189,7 +182,7 @@ def _run(patient: VirtualPatient, duration: float, h: float,
         t = k * h
         try:
             bt = hill_bis(state.ce, hill)
-            bm = bt + disturbance_at(disturbance, t) + noise_sample(noise, rng)
+            bm = bt + disturbance_at(disturbance, t) + offsets[k]
             bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
             u, bis_f, ce_model, i_t, ce_ref = control(t, bm)
             values.extend((t, bt, bm, bis_f, u, *state, ce_model, i_t, ce_ref))
@@ -209,13 +202,15 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     run with the failing step index attached.
     """
     patient = scenario.resolve_patient()
-    cfg, pk_nominal = resolve_controller(scenario.controller, patient)
+    cfg = resolve_controller(scenario.controller, patient)
     cs = ControllerState.initial(cfg, awake_bis=patient.hill.e0)
-    model = DiscretePk(pk_nominal, scenario.h)
+    model = DiscretePk(MODEL_PK, scenario.h)
+    ce_ref = inverse_hill(cfg.target_bis, cfg.nominal)
 
     def control(t: float, bm: float) -> tuple:
+        ce_model = cs.model_state.ce
         u = controller_step(cs, cfg, model, bm)
-        return u, cs.last_bis_filtered, cs.last_model_ce, cs.last_innovation, cs.last_ce_ref
+        return u, cs.f1.x2, ce_model, cs.f2.x2, ce_ref
 
     return _run(patient, scenario.duration, scenario.h, scenario.disturbance, scenario.noise,
                 scenario.seed, control)
@@ -242,7 +237,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     """
     n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
     patients = [s.resolve_patient() for s in scenarios]
-    cfgs, pk_models = zip(*map(resolve_controller, (s.controller for s in scenarios), patients))
+    cfgs = [resolve_controller(s.controller, p) for s, p in zip(scenarios, patients)]
 
     def fail(exc_type, k: int, lane: int, message) -> None:
         raise exc_type(f"step {k} (t={k * h:.4f} min): patient {patients[lane].id}, "
@@ -251,10 +246,9 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     def lanes(objs, keys: str) -> list[np.ndarray]:
         return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
 
-    e0, emax, ce50, gamma_n = lanes([c.nominal for c in cfgs], "e0 emax ce50 gamma")
     p_e0, p_emax, p_ce50, p_gamma = lanes([p.hill for p in patients], "e0 emax ce50 gamma")
-    kp, ki, u_max, tf1, tf2 = lanes(cfgs, "kp ki u_max tf1 tf2")
-    inv_gamma, p_c50g = 1.0 / gamma_n, np.float_power(p_ce50, p_gamma)
+    e0, kp, ki, u_max, tf1, tf2 = lanes(cfgs, "nominal_e0 kp ki u_max tf1 tf2")
+    inv_gamma, p_c50g = 1.0 / POPULATION_GAMMA, np.float_power(p_ce50, p_gamma)
     # resolve_controller validated every target, so each one inverts.
     ce_ref = np.array([inverse_hill(c.target_bis, c.nominal) for c in cfgs])
     a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
@@ -263,7 +257,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
 
     # Columns 0..L-1 are the patients, L..2L-1 the controller's internal
     # models, with one DiscretePk per distinct PK set.
-    pks = [p.pk for p in patients] + list(pk_models)
+    pks = [p.pk for p in patients] + [MODEL_PK] * n_lanes
     models = {pk: DiscretePk(pk, h) for pk in dict.fromkeys(pks)}
     phi = np.stack([models[pk].phi for pk in pks], axis=-1)        # (4, 4, 2L)
     gamma = np.stack([models[pk].gamma for pk in pks], axis=-1)    # (4, 2L)
@@ -272,10 +266,9 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     profiles = {d: i for i, d in enumerate(dict.fromkeys(s.disturbance for s in scenarios))}
     pulses = np.array([[disturbance_at(d, k * h) for d in profiles] for k in range(n_steps)])
     profile = np.array([profiles[s.disturbance] for s in scenarios])
-    noise = np.zeros((n_steps, n_lanes))
+    noise = np.empty((n_steps, n_lanes))
     for j, s in enumerate(scenarios):
-        if s.noise.kind is not NoiseKind.NONE and s.noise.sigma != 0.0:
-            noise[:, j] = np.random.default_rng(s.seed).normal(0.0, s.noise.sigma, n_steps)
+        noise[:, j] = noise_stream(s.noise, s.seed, n_steps)
 
     picks = [TRAJECTORY_FIELDS.index(name) for name in names]
     s = np.zeros((4, 2 * n_lanes))
@@ -297,7 +290,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
 
         f1 = _lp2_lanes(*f1, bm, a1, pass1)
         bis_f = f1[1]
-        den = emax - e0 + bis_f
+        den = POPULATION_EMAX - e0 + bis_f
         # A validated target keeps den > 0 at every reading >= e0, so den <= 0
         # is exactly inverse_hill's out-of-domain case.
         if (den <= 0.0).any():
@@ -307,7 +300,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
             except ControllerError as e:
                 fail(ControllerError, step, j, e)
         # Readings at or above e0 map to +0.0, as in inverse_hill.
-        ce_meas = ce50 * np.float_power(np.maximum((e0 - bis_f) / den, 0.0), inv_gamma)
+        ce_meas = POPULATION_CE50 * np.float_power(np.maximum((e0 - bis_f) / den, 0.0), inv_gamma)
         f2 = _lp2_lanes(*f2, ce_meas - ce_model, a2, pass2)
         err = ce_ref - (ce_model + f2[1])
 

@@ -202,7 +202,7 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     # from that patient.
     settings = [0.0] + [tf2 for tf2 in grid if tf2 != 0.0]
     runs = [replace(template, patient_id=None, patient=p, noise=NoiseModel(),
-                    controller=replace(template.controller, tf2=tf2, nominal=None))
+                    controller=replace(template.controller, tf2=tf2, nominal_e0=None))
             for tf2 in settings for p in cohort]
     ys = _closed_loop_lanes(runs, (signal,))[:, 0]
     ts = [k * template.h for k in range(template.n_steps)]

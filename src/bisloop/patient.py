@@ -62,12 +62,9 @@ class Demographics:
     sex: Sex
 
     def __post_init__(self):
-        if self.age <= 0:
-            raise ModelError(f"age must be positive, got {self.age}")
-        if self.height_cm <= 0:
-            raise ModelError(f"height_cm must be positive, got {self.height_cm}")
-        if self.weight_kg <= 0:
-            raise ModelError(f"weight_kg must be positive, got {self.weight_kg}")
+        for name in ("age", "height_cm", "weight_kg"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
         # Reject body habitus outside the validity region of the LBM formula.
         lean_body_mass(self.sex, self.weight_kg, self.height_cm)
 
@@ -120,14 +117,15 @@ class PkParams:
 
     def __post_init__(self):
         for name in ("v1", "v2", "v3"):
-            if getattr(self, name) <= 0:
-                raise ModelError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.cl1 <= 0:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not 0 < self.cl1 < math.inf:
             raise NonPhysicalParameterError(
                 f"non-physical PK parameters: cl1={self.cl1:.6g} L/min", value=self.cl1)
         for name in ("cl2", "cl3", "ke0"):
-            if getattr(self, name) < 0:
-                raise ModelError(f"{name} must be non-negative, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)}")
         # Plain attributes, not properties: the step loop reads them ~100 times a step.
         for name, value in (("k10", self.cl1 / self.v1), ("k12", self.cl2 / self.v1),
                             ("k13", self.cl3 / self.v1), ("k21", self.cl2 / self.v2),
@@ -181,12 +179,9 @@ class HillParams:
     def __post_init__(self):
         if not 0 < self.e0 <= 100:
             raise ModelError(f"e0 must be in (0, 100], got {self.e0}")
-        if self.emax <= 0:
-            raise ModelError(f"emax must be positive, got {self.emax}")
-        if self.ce50 <= 0:
-            raise ModelError(f"ce50 must be positive, got {self.ce50}")
-        if self.gamma <= 0:
-            raise ModelError(f"gamma must be positive, got {self.gamma}")
+        for name in ("emax", "ce50", "gamma"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 def hill_bis(ce: float, hill: HillParams) -> float:
@@ -288,7 +283,6 @@ class VirtualPatient:
     demographics: Demographics
     hill: HillParams
     pk_preset: PkPreset = PkPreset.SCHNIDER_CORRECTED
-    fictitious_average: bool = False
     pk: PkParams = field(init=False)
 
     def __post_init__(self):
@@ -323,8 +317,7 @@ def _member(row: tuple, preset: PkPreset) -> VirtualPatient:
     pid, age, height, weight, sex, ce50, gamma, e0, emax = row
     demo = Demographics(age=age, height_cm=float(height), weight_kg=float(weight), sex=sex)
     hill = HillParams(e0=e0, emax=emax, ce50=ce50, gamma=gamma)
-    return VirtualPatient(pid, demo, hill, preset,
-                          fictitious_average=(pid == AVERAGE_PATIENT_ID))
+    return VirtualPatient(pid, demo, hill, preset)
 
 
 def builtin_cohort(preset: PkPreset = PkPreset.SCHNIDER_CORRECTED) -> list[VirtualPatient]:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from typing import Any
 
-from .control import ControllerConfig, NominalHillParams
+from .control import ControllerConfig
 from .engine import (TRAJECTORY_FIELDS, DisturbancePulse, NoiseKind, NoiseModel,
                      Scenario, Trajectory)
 from .errors import ModelError, ScenarioError
@@ -76,18 +77,20 @@ def _parse_controller(obj: Any) -> ControllerConfig:
     _check_keys(obj, {"target_bis", "tf1_min", "tf2_min", "kp", "ki",
                       "u_max_mg_min", "nominal_e0"}, "controller")
     defaults = ControllerConfig()
-    nominal_e0 = None
-    if "nominal_e0" in obj:
-        nominal_e0 = _number(obj, "nominal_e0", "controller", positive=True)
-    return ControllerConfig(
+    cfg = ControllerConfig(
         target_bis=_number(obj, "target_bis", "controller", defaults.target_bis, positive=True),
         tf1=_number(obj, "tf1_min", "controller", defaults.tf1, non_negative=True),
         tf2=_number(obj, "tf2_min", "controller", defaults.tf2, non_negative=True),
         kp=_number(obj, "kp", "controller", defaults.kp, non_negative=True),
         ki=_number(obj, "ki", "controller", defaults.ki, non_negative=True),
         u_max=_number(obj, "u_max_mg_min", "controller", defaults.u_max, positive=True),
-        nominal=None if nominal_e0 is None else NominalHillParams(e0=nominal_e0),
     )
+    if "nominal_e0" not in obj:
+        return cfg
+    try:
+        return replace(cfg, nominal_e0=_number(obj, "nominal_e0", "controller"))
+    except ModelError as e:  # the nominal curve rejects its e0
+        raise ScenarioError(f"controller.nominal_e0: {e}") from e
 
 
 def _parse_noise(obj: Any) -> NoiseModel:
@@ -211,8 +214,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "target_bis": cfg.target_bis, "tf1_min": cfg.tf1, "tf2_min": cfg.tf2,
         "kp": cfg.kp, "ki": cfg.ki, "u_max_mg_min": cfg.u_max,
     }
-    if cfg.nominal is not None:
-        out["controller"]["nominal_e0"] = cfg.nominal.e0
+    if cfg.nominal_e0 is not None:
+        out["controller"]["nominal_e0"] = cfg.nominal_e0
     out["duration_min"] = scenario.duration
     out["h_min"] = scenario.h
     out["noise"] = {"kind": scenario.noise.kind.value, "sigma_bis": scenario.noise.sigma}

@@ -12,8 +12,8 @@ import random
 
 import pytest
 
-from bisloop import (Demographics, DisturbancePulse, HillParams, NoiseKind,
-                     DiscretePk, NoiseModel, NominalHillParams, NonPhysicalParameterError,
+from bisloop import (ControllerConfig, Demographics, DisturbancePulse, HillParams,
+                     NoiseKind, DiscretePk, NoiseModel, NonPhysicalParameterError,
                      PatientState, PkParams, PkPreset, Scenario, Sex,
                      cohort_member, derive_pk_params, hill_bis, inverse_hill,
                      pk_derivatives, run_closed_loop, tune_tf2)
@@ -238,7 +238,7 @@ def test_criterion_8_pk_nonnegativity_and_superposition():
 
 def test_criterion_8_hill_inverse_round_trip():
     hill = HillParams(e0=93.1, emax=87.5, ce50=4.92, gamma=2.69)
-    nominal = NominalHillParams(e0=93.1)
+    nominal = ControllerConfig(nominal_e0=93.1).nominal
     worst = 0.0
     for i in range(2001):
         ce = 20.0 * i / 2000

@@ -93,6 +93,12 @@ class TestSimulate:
         assert "target_bis=3.0 is below the nominal curve's reach e0 - emax = 93.1 - 87.5" in err
         assert "step" not in err
 
+    def test_nominal_e0_above_the_monitor_range_exits_2(self, scenario_file, capsys):
+        # a monitor reads at most 100, so no measured awake BIS lies above it
+        path = scenario_file({"duration_min": 1, "controller": {"nominal_e0": 120}})
+        assert main(["simulate", "--scenario", path]) == 2
+        assert "controller.nominal_e0: e0 must be in (0, 100], got 120" in capsys.readouterr().err
+
     def test_run_without_steps_exits_2(self, scenario_file, capsys):
         path = scenario_file({"h_min": 2, "duration_min": 1})
         assert main(["simulate", "--scenario", path]) == 2

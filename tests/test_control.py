@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisloop import (ControllerConfig, ControllerError, ControllerState, DiscretePk,
-                     Lp2State, NominalHillParams, PatientState, Saturation, Scenario,
-                     cohort_member, controller_step, inverse_hill, lp2_step,
-                     run_closed_loop, saturate)
+                     Lp2State, ModelError, PatientState, Scenario, cohort_member,
+                     controller_step, inverse_hill, lp2_step, run_closed_loop)
 
-NOMINAL_P13 = NominalHillParams(e0=93.1)
+NOMINAL_P13 = ControllerConfig(nominal_e0=93.1).nominal
 
 
 class TestInverseHill:
@@ -93,21 +92,6 @@ class TestLp2Filter:
             Lp2State(tf=-0.1)
 
 
-class TestSaturate:
-    def test_below(self):
-        assert saturate(-5.0, 200.0) == (0.0, Saturation.LOW)
-
-    def test_inside(self):
-        assert saturate(50.0, 200.0) == (50.0, Saturation.NONE)
-
-    def test_above(self):
-        assert saturate(350.0, 200.0) == (200.0, Saturation.HIGH)
-
-    def test_bad_limit(self):
-        with pytest.raises(ControllerError):
-            saturate(1.0, 0.0)
-
-
 def converged_controller(patient, cfg):
     """Closed-loop fixed point: filters settled, tracking error zero,
     the integrator holding the equilibrium rate."""
@@ -130,7 +114,7 @@ def converged_controller(patient, cfg):
 class TestControllerStep:
     def setup_method(self):
         self.patient = cohort_member(13)
-        self.cfg = ControllerConfig(nominal=NominalHillParams(e0=self.patient.hill.e0))
+        self.cfg = ControllerConfig(nominal_e0=self.patient.hill.e0)
         self.cfg.validate()
         self.model = DiscretePk(self.patient.pk, 1 / 60)
 
@@ -177,7 +161,7 @@ class TestControllerStep:
         assert run() == run()
 
     def test_integrator_frozen_at_saturation(self):
-        cfg = ControllerConfig(u_max=5.0, nominal=NominalHillParams(e0=self.patient.hill.e0))
+        cfg = ControllerConfig(u_max=5.0, nominal_e0=self.patient.hill.e0)
         cs = ControllerState.initial(cfg, awake_bis=self.patient.hill.e0)
         u = controller_step(cs, cfg, self.model, self.patient.hill.e0)
         assert u == 5.0
@@ -191,6 +175,12 @@ class TestControllerStep:
         with pytest.raises(ControllerError):
             controller_step(cs, self.cfg, self.model, math.nan)
 
+    def test_non_positive_u_max_rejected(self):
+        cfg = ControllerConfig(u_max=0.0, nominal_e0=self.patient.hill.e0)
+        cs = ControllerState.initial(cfg, awake_bis=self.patient.hill.e0)
+        with pytest.raises(ControllerError, match="u_max must be positive"):
+            controller_step(cs, cfg, self.model, self.patient.hill.e0)
+
     def test_unresolved_nominal_rejected(self):
         cfg = ControllerConfig()
         cs = ControllerState.initial(cfg, awake_bis=93.1)
@@ -203,27 +193,33 @@ class TestControllerStep:
         with pytest.raises(ControllerError):
             ControllerConfig(u_max=0.0).validate()
         with pytest.raises(ControllerError):
-            ControllerConfig(target_bis=95.0, nominal=NominalHillParams(e0=93.1)).validate()
+            ControllerConfig(target_bis=95.0, nominal_e0=93.1).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("kp", math.nan), ("ki", math.inf), ("tf1", math.nan), ("tf2", math.inf),
         ("u_max", math.inf), ("target_bis", math.nan)])
     def test_non_finite_setting_rejected_before_the_run(self, field, value):
-        cfg = ControllerConfig(nominal=NominalHillParams(e0=93.1), **{field: value})
+        cfg = ControllerConfig(nominal_e0=93.1, **{field: value})
         with pytest.raises(ControllerError, match=f"{field} must be finite"):
             cfg.validate()
-        scenario = Scenario(patient_id=13, duration=1.0, controller=replace(cfg, nominal=None))
+        scenario = Scenario(patient_id=13, duration=1.0, controller=replace(cfg, nominal_e0=None))
         with pytest.raises(ControllerError, match=f"^{field} must be finite"):
             run_closed_loop(scenario)
 
     @pytest.mark.parametrize("target", [3.0, 93.1 - 87.5])
     def test_unreachable_target_rejected(self, target):
         # the nominal curve bottoms out at e0 - emax = 5.6
-        cfg = ControllerConfig(target_bis=target, nominal=NominalHillParams(e0=93.1))
+        cfg = ControllerConfig(target_bis=target, nominal_e0=93.1)
         with pytest.raises(ControllerError, match=f"target_bis={target} is below"):
             cfg.validate()
 
     def test_lowest_reachable_target_accepted(self):
         target = 93.1 - 87.5 + 1e-9
-        ControllerConfig(target_bis=target, nominal=NominalHillParams(e0=93.1)).validate()
-        assert inverse_hill(target, NominalHillParams(e0=93.1)) > 0.0
+        ControllerConfig(target_bis=target, nominal_e0=93.1).validate()
+        assert inverse_hill(target, NOMINAL_P13) > 0.0
+
+    @pytest.mark.parametrize("e0", [math.nan, 120.0])
+    def test_nominal_e0_outside_the_monitor_range_rejected(self, e0):
+        # the nominal curve is a HillParams, so its e0 must lie in (0, 100]
+        with pytest.raises(ModelError, match=r"e0 must be in \(0, 100\]"):
+            ControllerConfig(nominal_e0=e0)

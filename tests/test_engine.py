@@ -2,14 +2,13 @@ import math
 import re
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisloop import (BisloopError, ControllerConfig, DisturbancePulse, NoiseKind,
-                     NoiseModel, NominalHillParams, Scenario, ScenarioError, cohort_member,
-                     disturbance_at, noise_sample, run_closed_loop, run_many, run_open_loop)
+                     NoiseModel, Scenario, ScenarioError, cohort_member, disturbance_at,
+                     noise_stream, run_closed_loop, run_many, run_open_loop)
 from bisloop.control import inverse_hill
 from bisloop.engine import MAX_STEPS
 from bisloop.metrics import induction_time
@@ -33,24 +32,22 @@ class TestDisturbance:
 
 class TestNoise:
     def test_none_model(self):
-        rng = np.random.default_rng(0)
-        assert noise_sample(NoiseModel(), rng) == 0.0
+        assert noise_stream(NoiseModel(), 0, 5).tolist() == [0.0] * 5
 
     def test_zero_sigma(self):
-        rng = np.random.default_rng(0)
-        assert noise_sample(NoiseModel(NoiseKind.GAUSSIAN, sigma=0.0), rng) == 0.0
+        model = NoiseModel(NoiseKind.GAUSSIAN, sigma=0.0)
+        assert noise_stream(model, 0, 5).tolist() == [0.0] * 5
 
     def test_large_sample_statistics(self):
         model = NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0)
-        rng = np.random.default_rng(0)
-        samples = np.array([noise_sample(model, rng) for _ in range(1_000_000)])
+        samples = noise_stream(model, 0, 1_000_000)
         assert abs(samples.mean()) < 0.01
         assert abs(samples.std() - 2.0) < 0.01
 
     def test_stream_is_pure_function_of_seed(self):
         model = NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0)
-        a = [noise_sample(model, np.random.default_rng(42)) for _ in range(5)]
-        b = [noise_sample(model, np.random.default_rng(42)) for _ in range(5)]
+        a = noise_stream(model, 42, 5).tolist()
+        b = noise_stream(model, 42, 5).tolist()
         assert a == b
 
     def test_negative_sigma_rejected(self):
@@ -260,7 +257,7 @@ CONTROLLERS = st.builds(
     ControllerConfig, target_bis=st.floats(30.0, 70.0), tf1=st.floats(0.0, 0.5),
     tf2=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), kp=st.floats(0.0, 40.0),
     ki=st.floats(0.0, 10.0),
-    nominal=st.one_of(st.none(), st.builds(NominalHillParams, st.floats(80.0, 100.0))))
+    nominal_e0=st.one_of(st.none(), st.floats(80.0, 100.0)))
 
 
 def _scenarios(durations):

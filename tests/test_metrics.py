@@ -232,7 +232,7 @@ LANES = st.lists(st.tuples(st.integers(1, 13),
 def _lane_iaes(template, patients, tf2, signal):
     """IAE of each lane of the kernel, run on the scenarios tune_tf2 builds."""
     runs = [replace(template, patient_id=None, patient=p, noise=NoiseModel(),
-                    controller=replace(template.controller, tf2=t, nominal=None))
+                    controller=replace(template.controller, tf2=t, nominal_e0=None))
             for p, t in zip(patients, tf2)]
     ys = _closed_loop_lanes(runs, (signal,))[:, 0]
     ts = [k * template.h for k in range(template.n_steps)]

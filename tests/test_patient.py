@@ -256,8 +256,6 @@ class TestCohort:
         d = p.demographics
         assert (d.age, d.height_cm, d.weight_kg, d.sex) == (38, 169, 65, Sex.FEMALE)
         assert (p.hill.ce50, p.hill.gamma, p.hill.e0, p.hill.emax) == (7.42, 3.00, 93.1, 96.58)
-        assert p.fictitious_average
-        assert not any(q.fictitious_average for q in cohort[:12])
 
     def test_ce50_mean_matches_average_row(self, cohort):
         mean = sum(p.hill.ce50 for p in cohort[:12]) / 12
@@ -318,3 +316,23 @@ class TestStateProperties:
         with pytest.raises(ModelError):
             # LBM formula domain violation
             Demographics(age=40, height_cm=100, weight_kg=200, sex=Sex.MALE)
+        good = {"age": 40, "height_cm": 170.0, "weight_kg": 60.0}
+        for name in good:
+            for bad in (math.nan, math.inf):
+                with pytest.raises(ModelError, match=f"{name} must be finite"):
+                    Demographics(**{**good, name: bad}, sex=Sex.FEMALE)
+
+    @pytest.mark.parametrize("name", ["emax", "ce50", "gamma"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_hill_validation(self, name, bad):
+        good = {"e0": 93.1, "emax": 87.5, "ce50": 4.92, "gamma": 2.69}
+        with pytest.raises(ModelError, match=f"{name} must be finite and positive"):
+            HillParams(**{**good, name: bad})
+
+    @pytest.mark.parametrize("name", ["v1", "v2", "v3", "cl1", "cl2", "cl3", "ke0"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_pk_validation(self, name, bad):
+        good = {"v1": 4.27, "v2": 18.9, "v3": 238.0, "cl1": 1.8, "cl2": 1.3, "cl3": 0.8,
+                "ke0": 0.456}
+        with pytest.raises(ModelError, match=name):
+            PkParams(**{**good, name: bad})

@@ -117,7 +117,8 @@ class TestParseScenario:
 
     def test_round_trip_is_lossless(self):
         doc = {"patient_id": 7, "duration_min": 12.5, "h_min": 0.025, "seed": 42,
-               "controller": {"target_bis": 45.0, "tf2_min": 0.5, "kp": 10.0},
+               "controller": {"target_bis": 45.0, "tf2_min": 0.5, "kp": 10.0,
+                              "nominal_e0": 91.0},
                "noise": {"kind": "gaussian", "sigma_bis": 1.5},
                "disturbance": [{"start_min": 5, "duration_min": 1,
                                 "amplitude_bis": 8}]}
