@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ControllerError
 from .patient import (Demographics, DiscretePk, HillParams, PatientState, PkPreset, Sex,
@@ -116,6 +117,12 @@ class ControllerConfig:
             self.nominal_e0, POPULATION_EMAX, POPULATION_CE50, POPULATION_GAMMA)
         object.__setattr__(self, "nominal", nominal)
 
+    @cached_property
+    def ce_ref(self) -> float:
+        """The concentration the loop tracks: the nominal curve's inverse at
+        target_bis (mg/L), computed once.  validate() ensures it exists."""
+        return inverse_hill(self.target_bis, self.nominal)
+
     def validate(self):
         for name in ("tf1", "tf2", "kp", "ki"):
             value = getattr(self, name)
@@ -179,7 +186,7 @@ def controller_step(cs: ControllerState, cfg: ControllerConfig, model: DiscreteP
     bis_f = lp2_step(cs.f1, measured_bis, h)
     ce_meas = inverse_hill(bis_f, cfg.nominal)
     innovation = lp2_step(cs.f2, ce_meas - ce_model, h)
-    err = inverse_hill(cfg.target_bis, cfg.nominal) - (ce_model + innovation)
+    err = cfg.ce_ref - (ce_model + innovation)
 
     proposed = cs.integrator + cfg.ki * err * h
     u = cfg.kp * err + proposed

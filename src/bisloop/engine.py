@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -172,17 +173,19 @@ def _run(patient: VirtualPatient, duration: float, h: float,
     n_steps = _step_count(duration, h)
     if n_steps < 1:
         raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
-    offsets = noise_stream(noise, seed, n_steps).tolist()
+    offsets = noise_stream(noise, seed, n_steps)
+    # A noise-free run's offsets are all +0.0: repeated, not held as a list.
+    offsets = offsets.tolist() if offsets.any() else repeat(0.0, n_steps)
     hill, advance = patient.hill, DiscretePk(patient.pk, h).step
     state = ZERO_STATE
     # Every step's values in TRAJECTORY_FIELDS order, in one flat list of
     # floats: per-step tuples kept alive would wake the cyclic GC.
     values: list[float | None] = []
-    for k in range(n_steps):
+    for k, offset in enumerate(offsets):
         t = k * h
         try:
             bt = hill_bis(state.ce, hill)
-            bm = bt + disturbance_at(disturbance, t) + offsets[k]
+            bm = bt + disturbance_at(disturbance, t) + offset
             bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
             u, bis_f, ce_model, i_t, ce_ref = control(t, bm)
             values.extend((t, bt, bm, bis_f, u, *state, ce_model, i_t, ce_ref))
@@ -205,7 +208,7 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     cfg = resolve_controller(scenario.controller, patient)
     cs = ControllerState.initial(cfg, awake_bis=patient.hill.e0)
     model = DiscretePk(MODEL_PK, scenario.h)
-    ce_ref = inverse_hill(cfg.target_bis, cfg.nominal)
+    ce_ref = cfg.ce_ref
 
     def control(t: float, bm: float) -> tuple:
         ce_model = cs.model_state.ce
@@ -250,7 +253,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     e0, kp, ki, u_max, tf1, tf2 = lanes(cfgs, "nominal_e0 kp ki u_max tf1 tf2")
     inv_gamma, p_c50g = 1.0 / POPULATION_GAMMA, np.float_power(p_ce50, p_gamma)
     # resolve_controller validated every target, so each one inverts.
-    ce_ref = np.array([inverse_hill(c.target_bis, c.nominal) for c in cfgs])
+    ce_ref = np.array([c.ce_ref for c in cfgs])
     a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
               for tf in (tf1, tf2))
     pass1, pass2 = tf1 == 0.0, tf2 == 0.0

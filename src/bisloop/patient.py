@@ -267,11 +267,20 @@ class DiscretePk:
         """The state h minutes on under the rate u (mg/min).  Round-off negatives
         are clamped to zero; a non-finite result raises ModelError."""
         c1, c2, c3, ce = state
-        out = [p1 * c1 + p2 * c2 + p3 * c3 + p4 * ce + g * u
-               for (p1, p2, p3, p4), g in zip(self.phi, self.gamma)]
-        if not all(map(math.isfinite, out)):
-            raise ModelError(f"integration diverged: state={tuple(out)}, u={u}, h={self.h}")
-        return PatientState._make([0.0 if v < 0.0 else v for v in out])
+        (p11, p12, p13, p14), (p21, p22, p23, p24), (p31, p32, p33, p34), \
+            (p41, p42, p43, p44) = self.phi
+        g1, g2, g3, g4 = self.gamma
+        # Written out for speed; each row sums in the order phi[i] . x + gamma[i] u.
+        x1 = p11 * c1 + p12 * c2 + p13 * c3 + p14 * ce + g1 * u
+        x2 = p21 * c1 + p22 * c2 + p23 * c3 + p24 * ce + g2 * u
+        x3 = p31 * c1 + p32 * c2 + p33 * c3 + p34 * ce + g3 * u
+        x4 = p41 * c1 + p42 * c2 + p43 * c3 + p44 * ce + g4 * u
+        if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)
+                and math.isfinite(x4)):
+            raise ModelError(f"integration diverged: state={(x1, x2, x3, x4)}, u={u}, "
+                             f"h={self.h}")
+        return PatientState(0.0 if x1 < 0.0 else x1, 0.0 if x2 < 0.0 else x2,
+                            0.0 if x3 < 0.0 else x3, 0.0 if x4 < 0.0 else x4)
 
 
 @dataclass(frozen=True)

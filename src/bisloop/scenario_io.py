@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from itertools import repeat
 from typing import Any
 
 from .control import ControllerConfig
@@ -232,13 +233,27 @@ def _fmt(value: float | None) -> str:
 
 
 def write_trajectory_csv(traj: Trajectory) -> str:
-    """Trajectory as CSV text, floats at 6 significant digits.
+    """Trajectory as CSV text, floats at 6 significant digits (printf %.6g,
+    the same text as format(v, ".6g")), None as an empty field.
 
-    Open-loop runs emit empty fields for the controller columns.
+    Open-loop runs emit empty fields for the controller columns.  Every row
+    is one printf format: a numeric column is %.6g, a column of None is the
+    empty field itself, and a column mixing both is written through _fmt.
     """
+    fields, kept = [], []
+    for name in TRAJECTORY_FIELDS:
+        column = getattr(traj, name)
+        if None not in column:
+            fields.append("%.6g")
+            kept.append(column)
+        elif column.count(None) < len(column):
+            fields.append("%s")
+            kept.append(list(map(_fmt, column)))
+        else:
+            fields.append("")
+    rows = zip(*kept) if kept else repeat((), len(traj))
     lines = [TRAJECTORY_CSV_HEADER]
-    for row in zip(*(getattr(traj, name) for name in TRAJECTORY_FIELDS)):
-        lines.append(",".join(map(_fmt, row)))
+    lines += map(",".join(fields).__mod__, rows)
     return "\n".join(lines) + "\n"
 
 

@@ -119,6 +119,24 @@ class TestClosedLoop:
         with pytest.raises(ControllerError, match=r"step \d+"):
             run_closed_loop(s)
 
+    def test_target_inverted_once_per_run(self, monkeypatch):
+        # one inverse_hill call per step for the filtered reading, plus one for
+        # the target concentration, which the ce_ref column records
+        from bisloop import control, engine
+        calls = []
+
+        def counted(bis, curve):
+            calls.append(bis)
+            return inverse_hill(bis, curve)
+
+        monkeypatch.setattr(control, "inverse_hill", counted)
+        monkeypatch.setattr(engine, "inverse_hill", counted)
+        traj = run_closed_loop(Scenario(patient_id=13, duration=1.0))
+        assert len(traj) == 60
+        assert len(calls) == 61
+        assert calls.count(50.0) == 1
+        assert set(traj.ce_ref) == {inverse_hill(50.0, ControllerConfig(nominal_e0=93.1).nominal)}
+
     def test_time_axis_strictly_increasing(self, p13_nominal_traj):
         ts = p13_nominal_traj.t
         assert all(b > a for a, b in zip(ts, ts[1:]))

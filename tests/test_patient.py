@@ -8,6 +8,7 @@ from bisloop import (Demographics, DiscretePk, HillParams, ModelError,
                      NonPhysicalParameterError, PatientState, PkParams, PkPreset, Sex,
                      builtin_cohort, cohort_member, derive_pk_params, hill_bis,
                      lean_body_mass, pk_derivatives)
+from bisloop.control import MODEL_PK
 
 P13_DEMO = Demographics(age=38, height_cm=169.0, weight_kg=65.0, sex=Sex.FEMALE)
 P13_HILL = HillParams(e0=93.1, emax=96.58, ce50=7.42, gamma=3.00)
@@ -123,6 +124,14 @@ class TestPkDerivatives:
         assert after.ce == pytest.approx(c1, abs=1e-12)
 
 
+def step_reference(model, state, u):
+    """DiscretePk.step as a loop over the rows of phi and gamma."""
+    c1, c2, c3, ce = state
+    out = [p1 * c1 + p2 * c2 + p3 * c3 + p4 * ce + g * u
+           for (p1, p2, p3, p4), g in zip(model.phi, model.gamma)]
+    return PatientState._make([0.0 if v < 0.0 else v for v in out])
+
+
 def _single_compartment_pk(k10=0.5, v1=4.27):
     return PkParams(v1=v1, v2=10.0, v3=10.0, cl1=k10 * v1, cl2=0.0, cl3=0.0, ke0=0.456)
 
@@ -218,6 +227,23 @@ class TestStepRk4:
         pk = derive_pk_params(P13_DEMO)
         with pytest.raises(ModelError, match="diverged"):
             DiscretePk(pk, 1e6).step(PatientState(1e308, 0, 0, 0), 1e308)
+        model = DiscretePk(pk, 1 / 60)
+        for state, u in ((PatientState(math.nan, 0.0, 0.0, 0.0), 1.0),
+                         (PatientState(0.0, 0.0, 0.0, math.nan), 0.0),
+                         (PatientState(0.0, 0.0, 0.0, 0.0), math.inf)):
+            with pytest.raises(ModelError, match=r"^integration diverged: state=\(.*\), "
+                                                 r"u=.*, h=0\.01666"):
+                model.step(state, u)
+
+    @given(st.sampled_from([p.pk for p in builtin_cohort()] + [MODEL_PK]),
+           st.floats(1e-4, 5.0),
+           st.tuples(*[st.floats(0.0, 1e4)] * 4),
+           st.floats(0.0, 1e4))
+    def test_step_equals_reference_bit_for_bit(self, pk, h, state, u):
+        model = DiscretePk(pk, h)
+        got = model.step(PatientState(*state), u)
+        assert type(got) is PatientState
+        assert [v.hex() for v in got] == [v.hex() for v in step_reference(model, state, u)]
 
 
 class TestHillBis:

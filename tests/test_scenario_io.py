@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -8,11 +9,25 @@ from bisloop import (DisturbancePulse, NoiseKind, NoiseModel, PkPreset, Scenario
                      run_closed_loop, run_open_loop, scenario_to_dict,
                      write_trajectory_csv)
 from bisloop.engine import TRAJECTORY_FIELDS
-from bisloop.scenario_io import TRAJECTORY_CSV_HEADER, cohort_csv
+from bisloop.scenario_io import TRAJECTORY_CSV_HEADER, _fmt, cohort_csv
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def csv_reference(traj: Trajectory) -> str:
+    """write_trajectory_csv as one _fmt call per field."""
+    rows = zip(*(getattr(traj, name) for name in TRAJECTORY_FIELDS))
+    return "\n".join([TRAJECTORY_CSV_HEADER, *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+
+
+# Values whose 6-significant-digit text has an edge: signed zero, the smallest
+# subnormal, exponents at both ends, non-finite values, ints, and halfway cases
+# of the sixth digit.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.7976931348623157e308,
+               math.inf, -math.inf, math.nan, 0, 7, -12, 10**20, 999999.5, 9999995.0,
+               999999.4999, 0.1 + 0.2, 1 / 3, 123456789.0, 1e-5, 1e-4, 99.99995, 100.0]
 
 
 class TestParseScenario:
@@ -165,6 +180,24 @@ class TestTrajectoryCsv:
         assert len(columns) == len(TRAJECTORY_FIELDS)
         for column, name in zip(columns, TRAJECTORY_FIELDS):
             assert column == name or column.startswith(name + "_")
+
+    @pytest.mark.parametrize("columns", [
+        # every column numeric, each cycling through the edge values
+        {name: EDGE_VALUES[i:] + EDGE_VALUES[:i] for i, name in enumerate(TRAJECTORY_FIELDS)},
+        # the open-loop shape: controller columns all None
+        {name: ([None] * len(EDGE_VALUES) if name in ("bis_filtered", "ce_model", "i_t", "ce_ref")
+                else EDGE_VALUES) for name in TRAJECTORY_FIELDS},
+        # a column mixing None and numbers, next to all-None and numeric ones
+        {name: ([None, 1.5, None, -0.0, math.nan, None] if name == "u"
+                else [None] * 6 if name == "ce_ref" else [0.25 * i for i in range(6)])
+         for name in TRAJECTORY_FIELDS},
+        # every column None
+        {name: [None] * 3 for name in TRAJECTORY_FIELDS},
+        {},
+    ], ids=["numeric", "open-loop", "mixed", "all-none", "empty"])
+    def test_equals_reference_writer(self, columns):
+        traj = Trajectory(**columns)
+        assert write_trajectory_csv(traj) == csv_reference(traj)
 
     # The digests pin the CSV bytes of a noisy, pulsed closed-loop run and of
     # a multi-breakpoint open-loop run under the exact zero-order-hold PK step.
