@@ -18,8 +18,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .control import (MODEL_PK, POPULATION_CE50, POPULATION_EMAX, POPULATION_GAMMA,
-                      ControllerConfig, ControllerState, controller_step, inverse_hill)
-from .errors import ControllerError, ModelError, ScenarioError
+                      ControllerConfig, ControllerState, controller_step)
+from .errors import BisloopError, ControllerError, ModelError, ScenarioError
 from .patient import (AVERAGE_PATIENT_ID, DiscretePk, PkPreset, VirtualPatient, ZERO_STATE,
                       cohort_member, hill_bis)
 
@@ -227,6 +227,7 @@ def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a, passthrough
     return x1, x2
 
 
+@np.errstate(all="ignore")   # a failing lane's inf and NaN warn nothing
 def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> np.ndarray:
     """run_closed_loop on L scenarios at once: the named TRAJECTORY_FIELDS,
     shape (n_steps, len(names), L).
@@ -235,16 +236,13 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     equals run_closed_loop(scenarios[j]) bit for bit: each step repeats the
     scalar loop's arithmetic in its order, powers by np.float_power (the libm
     pow that float.__pow__ calls), and the plants and internal models advance
-    by one DiscretePk step over 2L columns.  Failures raise the scalar loop's
-    error type, naming the step, the time and the first failing lane.
+    by one DiscretePk step over 2L columns.  A lane's state turns non-finite
+    in the step where its scalar loop fails; the first such lane re-runs
+    run_closed_loop and raises its error at that step, naming the lane.
     """
     n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
     patients = [s.resolve_patient() for s in scenarios]
     cfgs = [resolve_controller(s.controller, p) for s, p in zip(scenarios, patients)]
-
-    def fail(exc_type, k: int, lane: int, message) -> None:
-        raise exc_type(f"step {k} (t={k * h:.4f} min): patient {patients[lane].id}, "
-                       f"tf2={cfgs[lane].tf2:.6g} min: {message}")
 
     def lanes(objs, keys: str) -> list[np.ndarray]:
         return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
@@ -287,23 +285,15 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
         bt = p_e0 - p_emax * x / (x + p_c50g)
         bm = bt + pulses[step, profile] + noise[step]
         bm = np.where(bm < 0.0, 0.0, np.where(bm > 100.0, 100.0, bm))
-        if not np.isfinite(bm).all():
-            j = int(np.argmin(np.isfinite(bm)))
-            fail(ControllerError, step, j, f"measured BIS is not finite: {bm[j]!r}")
 
         f1 = _lp2_lanes(*f1, bm, a1, pass1)
         bis_f = f1[1]
         den = POPULATION_EMAX - e0 + bis_f
         # A validated target keeps den > 0 at every reading >= e0, so den <= 0
-        # is exactly inverse_hill's out-of-domain case.
-        if (den <= 0.0).any():
-            j = int(np.argmax(den <= 0.0))
-            try:
-                inverse_hill(float(bis_f[j]), cfgs[j].nominal)
-            except ControllerError as e:
-                fail(ControllerError, step, j, e)
-        # Readings at or above e0 map to +0.0, as in inverse_hill.
-        ce_meas = POPULATION_CE50 * np.float_power(np.maximum((e0 - bis_f) / den, 0.0), inv_gamma)
+        # is exactly inverse_hill's out-of-domain case: NaN.  Readings at or
+        # above e0 map to +0.0, as in inverse_hill.
+        ratio = np.where(den > 0.0, (e0 - bis_f) / den, np.nan)
+        ce_meas = POPULATION_CE50 * np.float_power(np.maximum(ratio, 0.0), inv_gamma)
         f2 = _lp2_lanes(*f2, ce_meas - ce_model, a2, pass2)
         err = ce_ref - (ce_model + f2[1])
 
@@ -315,19 +305,23 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
         u_raw = np.where(freeze, kp * err + integrator, u_raw)
         u = np.where(u_raw < 0.0, 0.0, np.where(u_raw > u_max, u_max, u_raw))
         integrator = np.where(freeze, integrator, proposed)
-        if not np.isfinite(u).all():
-            j = int(np.argmin(np.isfinite(u)))
-            fail(ControllerError, step, j,
-                 f"controller state diverged: u={u[j]!r}, err={err[j]!r}")
 
         row = (t, bt, bm, bis_f, u, *s[:, :n_lanes], ce_model, f2[1], ce_ref)
         for i, c in enumerate(picks):
             out[step, i] = row[c]
         s = (phi * s).sum(axis=1) + gamma * np.concatenate((u, u))
-        s = np.where(s < 0.0, 0.0, s)
         if not np.isfinite(s).all():
-            j = int(np.argmin(np.isfinite(s).all(axis=0))) % n_lanes
-            fail(ModelError, step, j, f"integration diverged: u={u[j]!r}, h={h}")
+            finite = np.isfinite(s).all(axis=0)
+            j = int(np.argmin(finite[:n_lanes] & finite[n_lanes:]))
+            prefix = f"step {step} (t={t:.4f} min): "
+            try:
+                run_closed_loop(scenarios[j])
+            except BisloopError as e:
+                if str(e).startswith(prefix):
+                    raise type(e)(f"{prefix}patient {patients[j].id}, tf2={cfgs[j].tf2:.6g} "
+                                  f"min: {str(e)[len(prefix):]}") from e
+            raise RuntimeError(f"lane {j} went non-finite at step {step}; run_closed_loop did not")
+        s = np.where(s < 0.0, 0.0, s)
     return out
 
 
@@ -353,8 +347,8 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     """Simulate a prescribed piecewise-constant infusion (no controller).
 
     profile is either a single constant rate in mg/min or a sequence of
-    (start_min, rate) breakpoints sorted by start.  Controller columns are
-    recorded as None.
+    (start_min, rate) breakpoints, starts finite and non-decreasing; the last
+    of equal starts wins.  Controller columns are recorded as None.
     """
     _check_run(duration, h, seed, disturbance)
     if isinstance(profile, (int, float)):
@@ -362,6 +356,9 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     profile = tuple((float(s), float(r)) for s, r in profile)
     if not all(0 <= r < math.inf for _, r in profile):
         raise ScenarioError("infusion rates must be >= 0 and finite")
+    starts = [s for s, _ in profile]
+    if not all(map(math.isfinite, starts)) or starts != sorted(starts):
+        raise ScenarioError(f"breakpoint starts must be finite and non-decreasing, got {starts}")
     return _run(patient, duration, h, disturbance, noise or NoiseModel(), seed,
                 lambda t, bm: (_rate_at(profile, t), None, None, None, None))
 

@@ -9,6 +9,7 @@ budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .control import inverse_hill
@@ -228,8 +229,8 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
 def ce_bis_curve(patient: VirtualPatient, ce_max: float,
                  n_points: int) -> list[tuple[float, float]]:
     """Sample the patient's concentration-effect curve on [0, ce_max]."""
-    if ce_max <= 0:
-        raise ValueError(f"ce_max must be positive, got {ce_max}")
+    if not 0 < ce_max < math.inf:
+        raise ValueError(f"ce_max must be finite and positive, got {ce_max}")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     step = ce_max / (n_points - 1)

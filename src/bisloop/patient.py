@@ -13,6 +13,7 @@ constants in 1/min, infusion rates in mg/min, time in minutes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -63,7 +64,8 @@ class Demographics:
 
     def __post_init__(self):
         for name in ("age", "height_cm", "weight_kg"):
-            if not 0 < getattr(self, name) < math.inf:
+            # <= float max, not < inf: an int above the float range is below inf.
+            if not 0 < getattr(self, name) <= sys.float_info.max:
                 raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
         # Reject body habitus outside the validity region of the LBM formula.
         lean_body_mass(self.sex, self.weight_kg, self.height_cm)
@@ -182,6 +184,15 @@ class HillParams:
         for name in ("emax", "ce50", "gamma"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        # hill_bis and the lanes divide by ce ** gamma + ce50 ** gamma, whose
+        # second term may neither overflow nor underflow to 0.
+        try:
+            c50g = self.ce50 ** self.gamma
+        except OverflowError:
+            c50g = math.inf
+        if not 0.0 < c50g <= sys.float_info.max:
+            raise ModelError(f"ce50 ** gamma must be a positive finite float, got "
+                             f"ce50={self.ce50}, gamma={self.gamma}")
 
 
 def hill_bis(ce: float, hill: HillParams) -> float:
@@ -189,11 +200,16 @@ def hill_bis(ce: float, hill: HillParams) -> float:
 
     Returns the raw sigmoid value e0 - emax*ce^g/(ce^g + ce50^g), which can
     leave [0, 100] when emax > e0; clamping to the monitor range is a
-    sensor-stage concern, not a model one.
+    sensor-stage concern, not a model one.  A ce ** gamma beyond the float
+    range raises ModelError.
     """
     if ce <= 0.0:
         return hill.e0
-    x = ce ** hill.gamma
+    try:
+        x = ce ** hill.gamma
+    except OverflowError:
+        raise ModelError(f"Hill curve overflows: ce={ce:.6g} mg/L, "
+                         f"gamma={hill.gamma:.6g}") from None
     return hill.e0 - hill.emax * x / (x + hill.ce50 ** hill.gamma)
 
 

@@ -1,10 +1,21 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bisloop
 from bisloop.cli import main
 from bisloop.scenario_io import TRAJECTORY_CSV_HEADER
+
+# The first bolus drives ce ** gamma beyond the float range at step 1.
+HILL_OVERFLOW = {"patient_id": 13, "duration_min": 1,
+                 "controller": {"u_max_mg_min": 1e300, "kp": 1e300, "nominal_e0": 93.1}}
+P13 = {"id": 13, "age": 38, "height_cm": 169, "weight_kg": 65, "sex": "F",
+       "ce50": 7.42, "gamma": 2, "e0": 93.1, "emax": 96.58}
 
 
 @pytest.fixture
@@ -85,6 +96,17 @@ class TestSimulate:
     def test_bad_number_exit_code(self, scenario_file, capsys, doc):
         assert main(["simulate", "--scenario", scenario_file(doc)]) == 2
 
+    def test_hill_overflow_exits_3(self, scenario_file, capsys):
+        assert main(["simulate", "--scenario", scenario_file(HILL_OVERFLOW)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1 (t=0.0167 min): Hill curve overflows: ce=")
+
+    @pytest.mark.parametrize("patient", [{"ce50": 1e200}, {"ce50": 1e-200}, {"age": 10**400}])
+    def test_patient_beyond_the_float_range_exits_2(self, scenario_file, capsys, patient):
+        doc = {"patient": {**P13, **patient}, "duration_min": 1}
+        assert main(["simulate", "--scenario", scenario_file(doc)]) == 2
+        assert capsys.readouterr().err.startswith("error: patient: ")
+
     def test_unreachable_target_exits_4_before_the_run(self, scenario_file, capsys):
         # e0 - emax = 93.1 - 87.5 for the nominal curve of patient 13
         path = scenario_file({"patient_id": 13, "controller": {"target_bis": 3}})
@@ -156,6 +178,20 @@ class TestCohortCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "3c96ffeab42886d7efefb11a68ad39f6f8dd6818dddabdc4a32024fd1e5bac9b"
 
+    def test_hill_overflow_exits_3_with_one_stderr_line(self, scenario_file):
+        # a child process, so that a numpy RuntimeWarning would reach its stderr
+        src = str(Path(bisloop.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from bisloop.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "cohort", "--scenario",
+             scenario_file(HILL_OVERFLOW)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: step 1 (t=0.0167 min): patient 1, "
+                                      "tf2=0.163118 min: Hill curve overflows: ce=")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestTuneCommand:
     def test_single_point_grid(self, tmp_path, capsys):
@@ -212,3 +248,12 @@ class TestCurveCommand:
 
     def test_unknown_patient(self, capsys):
         assert main(["curve", "--patient", "21"]) == 3
+
+    def test_ce_max_overflowing_the_hill_curve_exits_3(self, capsys):
+        assert main(["curve", "--patient", "13", "--ce-max", "1e200"]) == 3
+        assert "Hill curve overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ce_max", ["nan", "inf"])
+    def test_non_finite_ce_max_exits_1(self, capsys, ce_max):
+        assert main(["curve", "--patient", "13", "--ce-max", ce_max]) == 1
+        assert "ce_max must be finite and positive" in capsys.readouterr().err

@@ -1,17 +1,18 @@
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisloop import (BisloopError, ControllerConfig, DisturbancePulse, NoiseKind,
-                     NoiseModel, Scenario, ScenarioError, cohort_member, disturbance_at,
-                     noise_stream, run_closed_loop, run_many, run_open_loop)
+from bisloop import (BisloopError, ControllerConfig, DisturbancePulse, HillParams,
+                     ModelError, NoiseKind, NoiseModel, Scenario, ScenarioError,
+                     cohort_member, disturbance_at, noise_stream, run_closed_loop,
+                     run_many, run_open_loop, tune_tf2)
 from bisloop.control import inverse_hill
 from bisloop.engine import MAX_STEPS
-from bisloop.metrics import induction_time
+from bisloop.metrics import default_tuning_scenario, induction_time
 
 
 class TestDisturbance:
@@ -122,7 +123,7 @@ class TestClosedLoop:
     def test_target_inverted_once_per_run(self, monkeypatch):
         # one inverse_hill call per step for the filtered reading, plus one for
         # the target concentration, which the ce_ref column records
-        from bisloop import control, engine
+        from bisloop import control
         calls = []
 
         def counted(bis, curve):
@@ -130,7 +131,6 @@ class TestClosedLoop:
             return inverse_hill(bis, curve)
 
         monkeypatch.setattr(control, "inverse_hill", counted)
-        monkeypatch.setattr(engine, "inverse_hill", counted)
         traj = run_closed_loop(Scenario(patient_id=13, duration=1.0))
         assert len(traj) == 60
         assert len(calls) == 61
@@ -229,6 +229,18 @@ class TestOpenLoop:
         with pytest.raises(ScenarioError, match="infusion rates must be >= 0 and finite"):
             run_open_loop(cohort_member(13), profile, duration=1.0)
 
+    @pytest.mark.parametrize("profile", [((10.0, 5.0), (0.0, 3.0)), ((math.nan, 5.0),),
+                                         ((0.0, 5.0), (math.inf, 3.0))])
+    def test_breakpoints_out_of_order_or_non_finite_rejected(self, profile):
+        with pytest.raises(ScenarioError, match="breakpoint starts must be finite"):
+            run_open_loop(cohort_member(13), profile, duration=20.0)
+
+    def test_breakpoints_sharing_a_start_last_wins(self):
+        traj = run_open_loop(cohort_member(13), ((0.0, 5.0), (0.0, 3.0), (0.5, 7.0)),
+                             duration=1.0)
+        assert set(traj.u[:30]) == {3.0}
+        assert set(traj.u[30:]) == {7.0}
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"duration": math.inf}, "duration must be finite"),
         ({"duration": 1.0, "h": math.nan}, "h must be finite"),
@@ -286,6 +298,23 @@ def _scenarios(durations):
                      disturbance=PULSES, seed=st.integers(0, 2**32))
 
 
+# Runs that fail, one per way a run can fail once it has started.  At h = 5
+# min the filtered BIS of patient 13 reaches 0 at step 1, below the nominal
+# curve's reach; at kp = u_max = 1e300 the first bolus drives ce ** gamma
+# beyond the float range at step 1.
+FAILING = {
+    "out_of_domain": replace(default_tuning_scenario(), h=5.0),
+    "hill_overflow": Scenario(patient_id=13, duration=1.0,
+                              controller=ControllerConfig(kp=1e300, u_max=1e300)),
+}
+
+
+def _runs_through(scenario):
+    """The scenario on patient 1 with the controller off: it runs to the end."""
+    return replace(scenario, patient_id=1,
+                   controller=replace(scenario.controller, kp=0.0, ki=0.0))
+
+
 def _failure(scenario):
     """The step at which run_closed_loop fails (-1 before the run) and the
     error type, or None when it runs."""
@@ -299,6 +328,10 @@ def _failure(scenario):
 
 class TestRunMany:
     @settings(max_examples=30)
+    @example(shared=[_runs_through(FAILING["out_of_domain"]), FAILING["out_of_domain"]],
+             single=Scenario(patient_id=2, duration=0.75), at=0)
+    @example(shared=[_runs_through(FAILING["hill_overflow"]), FAILING["hill_overflow"]],
+             single=Scenario(patient_id=2, duration=0.75), at=2)
     @given(shared=st.lists(_scenarios(st.sampled_from([1.0, 1.5])), min_size=2, max_size=6),
            single=_scenarios(st.just(0.75)), at=st.integers(0, 6))
     def test_equals_run_closed_loop_bit_for_bit(self, shared, single, at):
@@ -325,6 +358,51 @@ class TestRunMany:
         batched = run_many(scenarios)
         for a, b in zip(serial, batched):
             assert a.u == b.u
+
+
+def _scalar_error(scenario):
+    """run_closed_loop's error type, step prefix and message body."""
+    with pytest.raises(BisloopError) as info:
+        run_closed_loop(scenario)
+    prefix, body = str(info.value).split(": ", 1)
+    assert re.fullmatch(r"step \d+ \(t=\d+\.\d{4} min\)", prefix)
+    return type(info.value), prefix, body
+
+
+@pytest.mark.filterwarnings("error")
+class TestFailureParity:
+    """A failing lane raises what run_closed_loop raises for it: the same type,
+    step and message, the lane named after the step, and no numpy warning."""
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_run_many(self, kind):
+        failing = FAILING[kind]
+        exc_type, prefix, body = _scalar_error(failing)
+        with pytest.raises(BisloopError) as info:
+            run_many([_runs_through(failing), failing])
+        assert type(info.value) is exc_type
+        assert str(info.value) == \
+            f"{prefix}: patient 13, tf2={failing.controller.tf2:.6g} min: {body}"
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_tune_tf2(self, kind):
+        template, p13 = FAILING[kind], cohort_member(13)
+        # the sweep's first lane: the template on patient 13, unfiltered
+        exc_type, prefix, body = _scalar_error(replace(
+            template, patient_id=None, patient=p13,
+            controller=replace(template.controller, tf2=0.0, nominal_e0=None)))
+        with pytest.raises(BisloopError) as info:
+            tune_tf2([0.5], cohort=[p13], template=template)
+        assert type(info.value) is exc_type
+        assert str(info.value) == f"{prefix}: patient 13, tf2=0 min: {body}"
+
+    @pytest.mark.parametrize("ce50", [1e200, 1e-200])
+    def test_ce50_extremes_rejected_before_any_run(self, ce50):
+        # ce50 ** gamma overflows or underflows to 0.0, where the scalar loop
+        # and the lanes would part ways
+        p13 = cohort_member(13)
+        with pytest.raises(ModelError, match=r"ce50 \*\* gamma must be"):
+            HillParams(e0=p13.hill.e0, emax=p13.hill.emax, ce50=ce50, gamma=2.0)
 
 
 class TestScenarioValidation:

@@ -309,6 +309,9 @@ class TestCeBisCurve:
             ce_bis_curve(p, ce_max=0.0, n_points=10)
         with pytest.raises(ValueError):
             ce_bis_curve(p, ce_max=10.0, n_points=1)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="ce_max must be finite and positive"):
+                ce_bis_curve(p, ce_max=bad, n_points=10)
 
     def test_cohort_window_report(self, cohort):
         report = cohort_target_window(cohort, target_bis=50.0, lo=3.0, hi=9.0)

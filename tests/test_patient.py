@@ -259,6 +259,10 @@ class TestHillBis:
         hill = HillParams(e0=83.1, emax=151.0, ce50=13.7, gamma=1.65)
         assert hill_bis(200.0, hill) < 0.0
 
+    def test_overflow_raises_model_error(self):
+        with pytest.raises(ModelError, match=r"^Hill curve overflows: ce=1e\+200 mg/L, gamma=3$"):
+            hill_bis(1e200, P13_HILL)
+
     @given(st.floats(0.5, 20), st.floats(0.5, 6), st.floats(50, 100), st.floats(10, 120))
     def test_monotone_decreasing(self, ce50, gamma, e0, emax):
         hill = HillParams(e0=e0, emax=emax, ce50=ce50, gamma=gamma)
@@ -344,7 +348,8 @@ class TestStateProperties:
             Demographics(age=40, height_cm=100, weight_kg=200, sex=Sex.MALE)
         good = {"age": 40, "height_cm": 170.0, "weight_kg": 60.0}
         for name in good:
-            for bad in (math.nan, math.inf):
+            # an integer above the float range compares below math.inf
+            for bad in (math.nan, math.inf, 10**400):
                 with pytest.raises(ModelError, match=f"{name} must be finite"):
                     Demographics(**{**good, name: bad}, sex=Sex.FEMALE)
 
