@@ -54,7 +54,7 @@ def _bis_plot(traj) -> str:
 
 
 def cmd_list_patients(args) -> int:
-    _emit(cohort_csv(PkPreset(args.preset)), args.out)
+    _emit(cohort_csv(), args.out)
     return EXIT_OK
 
 
@@ -76,8 +76,8 @@ def cmd_open_loop(args) -> int:
 
 def cmd_cohort(args) -> int:
     scenario = _read_scenario(args.scenario)
-    cohort = builtin_cohort(scenario.pk_preset)
-    runs = [replace(scenario, patient_id=None, patient=p) for p in cohort]
+    cohort = builtin_cohort(scenario.patient.pk_preset)
+    runs = [replace(scenario, patient=p) for p in cohort]
     trajectories = run_many(runs)
     reports = []
     for p, traj in zip(cohort, trajectories):
@@ -102,7 +102,7 @@ def _parse_grid(spec: str) -> list[float]:
 def cmd_tune_tf2(args) -> int:
     template = _read_scenario(args.scenario) if args.scenario else None
     result = tune_tf2(_parse_grid(args.grid), threshold=args.threshold,
-                      template=template, workers=args.workers)
+                      template=template)
     _emit(sweep_csv(result), args.out)
     if args.plot:
         svg = render_svg_plot(
@@ -141,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list-patients", help="print the built-in cohort as CSV")
-    p.add_argument("--preset", default=PkPreset.SCHNIDER_CORRECTED.value,
-                   choices=[x.value for x in PkPreset])
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_list_patients)
 
@@ -164,9 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohort", help="run a scenario for all 13 patients")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility; has no effect (the cohort "
-                        "runs as the lanes of one vectorised loop)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_cohort)
 
@@ -174,9 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="A:B:STEP in minutes")
     p.add_argument("--threshold", type=float, default=0.30)
     p.add_argument("--scenario", default=None, help="optional scenario template")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility; has no effect (the sweep "
-                        "runs every lane in one vectorised loop)")
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None)
     p.set_defaults(func=cmd_tune_tf2)

@@ -20,8 +20,8 @@ import numpy as np
 from .control import (MODEL_PK, POPULATION_CE50, POPULATION_EMAX, POPULATION_GAMMA,
                       ControllerConfig, ControllerState, controller_step)
 from .errors import BisloopError, ControllerError, ModelError, ScenarioError
-from .patient import (AVERAGE_PATIENT_ID, DiscretePk, PkPreset, VirtualPatient, ZERO_STATE,
-                      cohort_member, hill_bis)
+from .patient import (AVERAGE_PATIENT_ID, DiscretePk, VirtualPatient, ZERO_STATE, cohort_member,
+                      hill_bis)
 
 # Step budget of one run: duration / h may not exceed it.  A million steps is
 # 11.6 days at the default 1-s step; the longest benchmark run has 14 400.
@@ -74,9 +74,9 @@ def disturbance_at(profile: Sequence[DisturbancePulse], t: float) -> float:
 class Scenario:
     """Everything needed to reproduce one closed-loop run."""
 
-    patient_id: int | None = None
-    patient: VirtualPatient | None = None
-    pk_preset: PkPreset = PkPreset.SCHNIDER_CORRECTED
+    # A cohort id (1-13) stands for cohort_member(id); after construction the
+    # field is always the VirtualPatient that runs.
+    patient: VirtualPatient | int = AVERAGE_PATIENT_ID
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     duration: float = 60.0      # min
     h: float = 1.0 / 60.0       # min
@@ -86,14 +86,8 @@ class Scenario:
 
     def __post_init__(self):
         _check_run(self.duration, self.h, self.seed, self.disturbance)
-        if self.patient_id is not None and self.patient is not None:
-            raise ScenarioError("give either patient_id or an explicit patient, not both")
-
-    def resolve_patient(self) -> VirtualPatient:
-        if self.patient is not None:
-            return self.patient
-        pid = AVERAGE_PATIENT_ID if self.patient_id is None else self.patient_id
-        return cohort_member(pid, self.pk_preset)
+        if not isinstance(self.patient, VirtualPatient):
+            object.__setattr__(self, "patient", cohort_member(self.patient))
 
     @property
     def n_steps(self) -> int:
@@ -204,7 +198,7 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     constant for the step.  Controller or integration failures abort the
     run with the failing step index attached.
     """
-    patient = scenario.resolve_patient()
+    patient = scenario.patient
     cfg = resolve_controller(scenario.controller, patient)
     cs = ControllerState.initial(cfg, awake_bis=patient.hill.e0)
     model = DiscretePk(MODEL_PK, scenario.h)
@@ -241,7 +235,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     run_closed_loop and raises its error at that step, naming the lane.
     """
     n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
-    patients = [s.resolve_patient() for s in scenarios]
+    patients = [s.patient for s in scenarios]
     cfgs = [resolve_controller(s.controller, p) for s, p in zip(scenarios, patients)]
 
     def lanes(objs, keys: str) -> list[np.ndarray]:

@@ -152,7 +152,7 @@ def default_tuning_scenario() -> Scenario:
     nothing to integrate.
     """
     return Scenario(
-        patient_id=13,
+        patient=13,
         duration=30.0,
         noise=NoiseModel(),
         disturbance=(DisturbancePulse(start=15.0, duration=1.0, amplitude=10.0),),
@@ -176,9 +176,9 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     tuning scenario is the patient's apparent depth including the arousal
     pulse; bis_true and bis_filtered can be scored too.  Every (tf2,
     patient) run of the sweep is one lane of _closed_loop_lanes, bit-identical
-    to run_closed_loop; workers is ignored, kept for callers that still pass
-    it.  Raises TuningError (carrying the full curve) when no grid point
-    meets the threshold.
+    to run_closed_loop.  workers is ignored; it stays because the benchmark
+    under perfbench/ still passes workers=1.  Raises TuningError (carrying
+    the full curve) when no grid point meets the threshold.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
@@ -202,7 +202,7 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     # template on one patient, noise-free, with the nominal curve resolved
     # from that patient.
     settings = [0.0] + [tf2 for tf2 in grid if tf2 != 0.0]
-    runs = [replace(template, patient_id=None, patient=p, noise=NoiseModel(),
+    runs = [replace(template, patient=p, noise=NoiseModel(),
                     controller=replace(template.controller, tf2=tf2, nominal_e0=None))
             for tf2 in settings for p in cohort]
     ys = _closed_loop_lanes(runs, (signal,))[:, 0]

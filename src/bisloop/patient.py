@@ -118,17 +118,19 @@ class PkParams:
     k1e: float = field(init=False)
 
     def __post_init__(self):
+        # <= float max, not < inf: an int above the float range is below inf.
         for name in ("v1", "v2", "v3"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < getattr(self, name) <= sys.float_info.max:
                 raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not 0 < self.cl1 < math.inf:
+        if not 0 < self.cl1 <= sys.float_info.max:
             raise NonPhysicalParameterError(
-                f"non-physical PK parameters: cl1={self.cl1:.6g} L/min", value=self.cl1)
+                f"non-physical PK parameters: cl1={self.cl1} L/min", value=self.cl1)
         for name in ("cl2", "cl3", "ke0"):
-            if not 0 <= getattr(self, name) < math.inf:
+            if not 0 <= getattr(self, name) <= sys.float_info.max:
                 raise ModelError(f"{name} must be finite and non-negative, "
                                  f"got {getattr(self, name)}")
-        # Plain attributes, not properties: the step loop reads them ~100 times a step.
+        # Plain attributes, not properties: pk_derivatives reads them when a
+        # DiscretePk is built.
         for name, value in (("k10", self.cl1 / self.v1), ("k12", self.cl2 / self.v1),
                             ("k13", self.cl3 / self.v1), ("k21", self.cl2 / self.v2),
                             ("k31", self.cl3 / self.v3), ("k1e", self.ke0)):
@@ -182,7 +184,7 @@ class HillParams:
         if not 0 < self.e0 <= 100:
             raise ModelError(f"e0 must be in (0, 100], got {self.e0}")
         for name in ("emax", "ce50", "gamma"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < getattr(self, name) <= sys.float_info.max:
                 raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
         # hill_bis and the lanes divide by ce ** gamma + ce50 ** gamma, whose
         # second term may neither overflow nor underflow to 0.

@@ -19,7 +19,7 @@ from .engine import (TRAJECTORY_FIELDS, DisturbancePulse, NoiseKind, NoiseModel,
 from .errors import ModelError, ScenarioError
 from .metrics import MetricsReport, SweepResult
 from .patient import (Demographics, HillParams, PkPreset, Sex, VirtualPatient,
-                      builtin_cohort)
+                      builtin_cohort, cohort_member)
 
 TRAJECTORY_CSV_HEADER = ("t_min,bis_true,bis_measured,bis_filtered,u_mg_min,"
                          "c1,c2,c3,ce_true,ce_model,i_t,ce_ref")
@@ -161,8 +161,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"pk_preset: expected one of {[p.value for p in PkPreset]}, got {preset_raw!r}")
 
-    patient = None
-    patient_id = None
+    # The patient is built as it is read, under the file's preset, so the
+    # scenario holds the patient that runs.
     if "patient" in raw and "patient_id" in raw:
         raise ScenarioError("give either patient_id or patient, not both")
     if "patient" in raw:
@@ -172,6 +172,7 @@ def parse_scenario(text: str) -> Scenario:
         if not 1 <= patient_id <= 13:
             raise ScenarioError(f"patient_id: unknown patient id {patient_id} "
                                 "(cohort has 1-13)")
+        patient = cohort_member(patient_id, preset)
 
     controller = _parse_controller(raw["controller"]) if "controller" in raw \
         else ControllerConfig()
@@ -182,9 +183,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"scenario.seed: must be >= 0, got {seed}")
 
     return Scenario(
-        patient_id=patient_id,
         patient=patient,
-        pk_preset=preset,
         controller=controller,
         duration=_number(raw, "duration_min", "scenario", 60.0, positive=True),
         h=_number(raw, "h_min", "scenario", 1.0 / 60.0, positive=True),
@@ -195,22 +194,22 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Scenario back to its JSON-document form (defaults written explicitly)."""
+    """Scenario back to its JSON-document form (defaults written explicitly).
+
+    The patient is always written as an explicit object with its own preset,
+    so parse_scenario of the JSON text gives back an equal scenario.
+    """
+    p, cfg = scenario.patient, scenario.controller
     out: dict[str, Any] = {}
-    if scenario.patient is not None:
-        p = scenario.patient
-        out["patient"] = {
-            "id": p.id, "age": p.demographics.age,
-            "height_cm": p.demographics.height_cm,
-            "weight_kg": p.demographics.weight_kg,
-            "sex": p.demographics.sex.value,
-            "ce50": p.hill.ce50, "gamma": p.hill.gamma,
-            "e0": p.hill.e0, "emax": p.hill.emax,
-        }
-    else:
-        out["patient_id"] = 13 if scenario.patient_id is None else scenario.patient_id
-    cfg = scenario.controller
-    out["pk_preset"] = scenario.pk_preset.value
+    out["patient"] = {
+        "id": p.id, "age": p.demographics.age,
+        "height_cm": p.demographics.height_cm,
+        "weight_kg": p.demographics.weight_kg,
+        "sex": p.demographics.sex.value,
+        "ce50": p.hill.ce50, "gamma": p.hill.gamma,
+        "e0": p.hill.e0, "emax": p.hill.emax,
+    }
+    out["pk_preset"] = p.pk_preset.value
     out["controller"] = {
         "target_bis": cfg.target_bis, "tf1_min": cfg.tf1, "tf2_min": cfg.tf2,
         "kp": cfg.kp, "ki": cfg.ki, "u_max_mg_min": cfg.u_max,
@@ -260,10 +259,10 @@ def write_trajectory_csv(traj: Trajectory) -> str:
 COHORT_CSV_HEADER = "id,age,height_cm,weight_kg,sex,ce50,gamma,e0,emax"
 
 
-def cohort_csv(preset: PkPreset = PkPreset.SCHNIDER_CORRECTED) -> str:
+def cohort_csv() -> str:
     """Built-in cohort as CSV, formatted at the source table's precision."""
     lines = [COHORT_CSV_HEADER]
-    for p in builtin_cohort(preset):
+    for p in builtin_cohort():
         d = p.demographics
         lines.append(f"{p.id},{d.age},{d.height_cm:.0f},{d.weight_kg:.0f},"
                      f"{d.sex.value},{p.hill.ce50:.2f},{p.hill.gamma:.2f},"

@@ -46,8 +46,7 @@ def _span(lo: float, hi: float) -> tuple[float, float]:
 
 
 def render_svg_plot(series: Sequence[Series], x_label: str = "", y_label: str = "",
-                    y_range: tuple[float, float] | None = None,
-                    title: str = "") -> str:
+                    y_range: tuple[float, float] | None = None) -> str:
     """Render named (x, y) series as a standalone SVG document.
 
     y_range pins the vertical axis (e.g. (0, 100) for BIS); otherwise the
@@ -74,9 +73,6 @@ def render_svg_plot(series: Sequence[Series], x_label: str = "", y_label: str = 
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if title:
-        out.append(f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="14">{title}</text>')
 
     # axes
     x0, y0 = _MARGIN_L, _MARGIN_T + plot_h

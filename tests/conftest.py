@@ -15,4 +15,4 @@ def cohort():
 @pytest.fixture(scope="session")
 def p13_nominal_traj():
     """Noise-free 60-min closed-loop run of the average patient at defaults."""
-    return run_closed_loop(Scenario(patient_id=13))
+    return run_closed_loop(Scenario(patient=13))

@@ -149,7 +149,7 @@ def test_criterion_5_cohort_steady_state(cohort, p13_nominal_traj):
     worst = 0.0
     for p in cohort:
         traj = p13_nominal_traj if p.id == 13 else run_closed_loop(
-            Scenario(patient_id=p.id))
+            Scenario(patient=p.id))
         worst = max(worst, abs(traj.bis_true[-1] - 50.0))
     check("5 all 13 patients |BIS-50| < 0.5 at 60 min", worst < 0.5,
           f"worst={worst:.3f}")
@@ -174,7 +174,7 @@ def test_criterion_5_infusion_rate_equilibrium_pin(p13_nominal_traj):
 
 def test_criterion_6_disturbance_rejection():
     pulse = DisturbancePulse(start=30.0, duration=1.0, amplitude=10.0)
-    noise_free = Scenario(patient_id=13, disturbance=(pulse,))
+    noise_free = Scenario(patient=13, disturbance=(pulse,))
     traj = run_closed_loop(noise_free)
     u_ss = traj.u[traj.t.index(29.0)]
     in_pulse = [u for t, u in zip(traj.t, traj.u) if 30.0 <= t < 31.0]
@@ -185,7 +185,7 @@ def test_criterion_6_disturbance_rejection():
     check("6 |BIS-50| < 2 within 10 min of pulse end", max(late) < 2.0,
           f"worst after t=41: {max(late):.3f}")
 
-    noisy = Scenario(patient_id=13, disturbance=(pulse,), seed=1234,
+    noisy = Scenario(patient=13, disturbance=(pulse,), seed=1234,
                      noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0))
     a = run_closed_loop(noisy)
     b = run_closed_loop(noisy)
@@ -261,7 +261,7 @@ def test_criterion_8_filter_dc_gain():
 
 def test_criterion_8_actuator_bound(p13_nominal_traj):
     runs = [p13_nominal_traj,
-            run_closed_loop(Scenario(patient_id=5, duration=10.0, seed=7,
+            run_closed_loop(Scenario(patient=5, duration=10.0, seed=7,
                                      noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0),
                                      disturbance=(DisturbancePulse(5.0, 1.0, 10.0),)))]
     u_max = Scenario().controller.u_max

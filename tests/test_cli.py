@@ -159,8 +159,7 @@ class TestCohortCommand:
     def test_metrics_table(self, scenario_file, tmp_path):
         path = scenario_file({"duration_min": 10})
         out = tmp_path / "metrics.csv"
-        rc = main(["cohort", "--scenario", path, "--workers", "1",
-                   "--out", str(out)])
+        rc = main(["cohort", "--scenario", path, "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("patient_id,iae")
@@ -197,7 +196,7 @@ class TestTuneCommand:
     def test_single_point_grid(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         plot = tmp_path / "sweep.svg"
-        rc = main(["tune-tf2", "--grid", "0.25:0.25:0.25", "--workers", "1",
+        rc = main(["tune-tf2", "--grid", "0.25:0.25:0.25",
                    "--out", str(out), "--plot", str(plot)])
         assert rc == 0
         text = out.read_text()

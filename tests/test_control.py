@@ -202,7 +202,7 @@ class TestControllerStep:
         cfg = ControllerConfig(nominal_e0=93.1, **{field: value})
         with pytest.raises(ControllerError, match=f"{field} must be finite"):
             cfg.validate()
-        scenario = Scenario(patient_id=13, duration=1.0, controller=replace(cfg, nominal_e0=None))
+        scenario = Scenario(patient=13, duration=1.0, controller=replace(cfg, nominal_e0=None))
         with pytest.raises(ControllerError, match=f"^{field} must be finite"):
             run_closed_loop(scenario)
 

@@ -63,7 +63,7 @@ class TestNoise:
 
 class TestClosedLoop:
     def test_single_step_run(self):
-        traj = run_closed_loop(Scenario(patient_id=13, duration=1 / 60))
+        traj = run_closed_loop(Scenario(patient=13, duration=1 / 60))
         assert len(traj) == 1
         assert traj.t == [0.0]
         assert traj.bis_true[0] == 93.1
@@ -77,7 +77,7 @@ class TestClosedLoop:
         assert abs(traj.bis_true[-1] - 50.0) < 0.5
 
     def test_reproducible_with_noise(self):
-        s = Scenario(patient_id=13, duration=5.0, seed=99,
+        s = Scenario(patient=13, duration=5.0, seed=99,
                      noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0))
         a = run_closed_loop(s)
         b = run_closed_loop(s)
@@ -86,21 +86,21 @@ class TestClosedLoop:
         assert a.ce_true == b.ce_true
 
     def test_different_seed_differs(self):
-        base = dict(patient_id=13, duration=2.0,
+        base = dict(patient=13, duration=2.0,
                     noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0))
         a = run_closed_loop(Scenario(seed=1, **base))
         b = run_closed_loop(Scenario(seed=2, **base))
         assert a.bis_measured != b.bis_measured
 
     def test_measured_clamped_to_monitor_range(self):
-        s = Scenario(patient_id=13, duration=2.0,
+        s = Scenario(patient=13, duration=2.0,
                      disturbance=(DisturbancePulse(0.0, 2.0, 500.0),))
         traj = run_closed_loop(s)
         assert all(v == 100.0 for v in traj.bis_measured)
         assert all(v <= 100.0 for v in traj.bis_measured)
 
     def test_all_signals_finite_and_bounded(self):
-        s = Scenario(patient_id=13, duration=10.0, seed=3,
+        s = Scenario(patient=13, duration=10.0, seed=3,
                      noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0),
                      disturbance=(DisturbancePulse(5.0, 1.0, 10.0),))
         traj = run_closed_loop(s)
@@ -115,7 +115,7 @@ class TestClosedLoop:
         # a huge negative artifact drags the filtered BIS below the reach of
         # the nominal curve; the run must abort naming the failing step
         from bisloop import ControllerError
-        s = Scenario(patient_id=13, duration=2.0,
+        s = Scenario(patient=13, duration=2.0,
                      disturbance=(DisturbancePulse(0.0, 2.0, -1000.0),))
         with pytest.raises(ControllerError, match=r"step \d+"):
             run_closed_loop(s)
@@ -131,7 +131,7 @@ class TestClosedLoop:
             return inverse_hill(bis, curve)
 
         monkeypatch.setattr(control, "inverse_hill", counted)
-        traj = run_closed_loop(Scenario(patient_id=13, duration=1.0))
+        traj = run_closed_loop(Scenario(patient=13, duration=1.0))
         assert len(traj) == 60
         assert len(calls) == 61
         assert calls.count(50.0) == 1
@@ -145,7 +145,7 @@ class TestClosedLoop:
 
 @pytest.fixture(scope="module")
 def pulsed():
-    s = Scenario(patient_id=13,
+    s = Scenario(patient=13,
                  disturbance=(DisturbancePulse(30.0, 1.0, 10.0),))
     return run_closed_loop(s)
 
@@ -158,7 +158,7 @@ class TestDisturbanceResponse:
         assert sum(in_pulse) / len(in_pulse) > u_ss
 
     def test_negative_pulse_lowers_mean_infusion(self):
-        s = Scenario(patient_id=13, duration=40.0,
+        s = Scenario(patient=13, duration=40.0,
                      disturbance=(DisturbancePulse(30.0, 1.0, -10.0),))
         traj = run_closed_loop(s)
         u_ss = traj.u[traj.t.index(29.0)]
@@ -266,8 +266,8 @@ class TestStepSizeSensitivity:
     def test_closed_loop_halving_h(self):
         # the sampled feedback path makes the loop first-order in h, so the
         # transient shifts by O(h); outside it the runs coincide closely
-        a = run_closed_loop(Scenario(patient_id=13, duration=20.0, h=1 / 60))
-        b = run_closed_loop(Scenario(patient_id=13, duration=20.0, h=1 / 120))
+        a = run_closed_loop(Scenario(patient=13, duration=20.0, h=1 / 60))
+        b = run_closed_loop(Scenario(patient=13, duration=20.0, h=1 / 120))
         worst = 0.0
         for i in range(len(a)):
             for col in ("bis_true", "u", "c1", "ce_true"):
@@ -291,7 +291,7 @@ CONTROLLERS = st.builds(
 
 
 def _scenarios(durations):
-    return st.builds(Scenario, patient_id=st.integers(1, 13), controller=CONTROLLERS,
+    return st.builds(Scenario, patient=st.integers(1, 13), controller=CONTROLLERS,
                      duration=durations,
                      noise=st.builds(NoiseModel, st.just(NoiseKind.GAUSSIAN),
                                      st.floats(0.0, 8.0)),
@@ -304,14 +304,14 @@ def _scenarios(durations):
 # beyond the float range at step 1.
 FAILING = {
     "out_of_domain": replace(default_tuning_scenario(), h=5.0),
-    "hill_overflow": Scenario(patient_id=13, duration=1.0,
+    "hill_overflow": Scenario(patient=13, duration=1.0,
                               controller=ControllerConfig(kp=1e300, u_max=1e300)),
 }
 
 
 def _runs_through(scenario):
     """The scenario on patient 1 with the controller off: it runs to the end."""
-    return replace(scenario, patient_id=1,
+    return replace(scenario, patient=1,
                    controller=replace(scenario.controller, kp=0.0, ki=0.0))
 
 
@@ -329,9 +329,9 @@ def _failure(scenario):
 class TestRunMany:
     @settings(max_examples=30)
     @example(shared=[_runs_through(FAILING["out_of_domain"]), FAILING["out_of_domain"]],
-             single=Scenario(patient_id=2, duration=0.75), at=0)
+             single=Scenario(patient=2, duration=0.75), at=0)
     @example(shared=[_runs_through(FAILING["hill_overflow"]), FAILING["hill_overflow"]],
-             single=Scenario(patient_id=2, duration=0.75), at=2)
+             single=Scenario(patient=2, duration=0.75), at=2)
     @given(shared=st.lists(_scenarios(st.sampled_from([1.0, 1.5])), min_size=2, max_size=6),
            single=_scenarios(st.just(0.75)), at=st.integers(0, 6))
     def test_equals_run_closed_loop_bit_for_bit(self, shared, single, at):
@@ -353,7 +353,7 @@ class TestRunMany:
             [repr(asdict(run_closed_loop(s))) for s in scenarios]
 
     def test_preserves_order_and_matches_serial(self):
-        scenarios = [Scenario(patient_id=i, duration=1.0) for i in (1, 5, 13)]
+        scenarios = [Scenario(patient=i, duration=1.0) for i in (1, 5, 13)]
         serial = [run_closed_loop(s) for s in scenarios]
         batched = run_many(scenarios)
         for a, b in zip(serial, batched):
@@ -389,7 +389,7 @@ class TestFailureParity:
         template, p13 = FAILING[kind], cohort_member(13)
         # the sweep's first lane: the template on patient 13, unfiltered
         exc_type, prefix, body = _scalar_error(replace(
-            template, patient_id=None, patient=p13,
+            template, patient=p13,
             controller=replace(template.controller, tf2=0.0, nominal_e0=None)))
         with pytest.raises(BisloopError) as info:
             tune_tf2([0.5], cohort=[p13], template=template)
@@ -408,11 +408,11 @@ class TestFailureParity:
 class TestScenarioValidation:
     def test_bad_duration(self):
         with pytest.raises(ScenarioError):
-            Scenario(patient_id=13, duration=0.0)
+            Scenario(patient=13, duration=0.0)
 
     def test_bad_h(self):
         with pytest.raises(ScenarioError):
-            Scenario(patient_id=13, h=-1.0)
+            Scenario(patient=13, h=-1.0)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"duration": math.nan}, "duration must be finite"),
@@ -423,16 +423,16 @@ class TestScenarioValidation:
     ])
     def test_non_finite_settings_and_negative_seed_rejected(self, kwargs, match):
         with pytest.raises(ScenarioError, match=match):
-            Scenario(patient_id=13, **kwargs)
+            Scenario(patient=13, **kwargs)
 
     @pytest.mark.parametrize("duration, h", [(1e12, 1 / 60), (1e10, 1e-300)])
     def test_step_budget_enforced(self, duration, h):
         # constructed, never run: at the default h, 1e12 min is 6e13 steps
         with pytest.raises(ScenarioError, match=r"steps .* exceeds MAX_STEPS=1000000"):
-            Scenario(patient_id=13, duration=duration, h=h)
+            Scenario(patient=13, duration=duration, h=h)
 
     def test_step_budget_boundary_accepted(self):
-        assert Scenario(patient_id=13, duration=0.5 * MAX_STEPS, h=0.5).n_steps == MAX_STEPS
+        assert Scenario(patient=13, duration=0.5 * MAX_STEPS, h=0.5).n_steps == MAX_STEPS
 
     @pytest.mark.parametrize("pulse", [DisturbancePulse(0.0, -1.0, 5.0),
                                        DisturbancePulse(math.nan, 1.0, 5.0),
@@ -440,15 +440,10 @@ class TestScenarioValidation:
                                        DisturbancePulse(0.0, 1.0, math.nan)])
     def test_bad_pulse_rejected(self, pulse):
         with pytest.raises(ScenarioError, match="disturbance pulse"):
-            Scenario(patient_id=13, disturbance=(pulse,))
-
-    def test_patient_and_id_mutually_exclusive(self):
-        p = cohort_member(13)
-        with pytest.raises(ScenarioError):
-            Scenario(patient_id=1, patient=p)
+            Scenario(patient=13, disturbance=(pulse,))
 
     def test_default_patient_is_average_individual(self):
-        assert Scenario().resolve_patient().id == 13
+        assert Scenario().patient.id == 13
 
     def test_steady_state_equilibrium_identity_holds(self, p13_nominal_traj):
         # at the settled end of the run the true patient sits on its own

@@ -48,7 +48,7 @@ class TestIae:
 
     def test_matches_fine_grid_rectangle_oracle(self):
         # induction run sampled at h/10, trapezoid vs brute-force left-rectangle
-        s = Scenario(patient_id=13, duration=30.0, h=1 / 600)
+        s = Scenario(patient=13, duration=30.0, h=1 / 600)
         traj = run_closed_loop(s)
         value = iae(traj, 50.0)
         h = 1 / 600
@@ -222,7 +222,7 @@ class TestTuneTf2:
 
 
 # A short tuning-style run: induction, then a +10 BIS pulse at t = 3 min.
-SHORT_TEMPLATE = replace(default_tuning_scenario(), patient_id=None, duration=6.0,
+SHORT_TEMPLATE = replace(default_tuning_scenario(), duration=6.0,
                          disturbance=(DisturbancePulse(3.0, 1.0, 10.0),))
 LANES = st.lists(st.tuples(st.integers(1, 13),
                            st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
@@ -231,7 +231,7 @@ LANES = st.lists(st.tuples(st.integers(1, 13),
 
 def _lane_iaes(template, patients, tf2, signal):
     """IAE of each lane of the kernel, run on the scenarios tune_tf2 builds."""
-    runs = [replace(template, patient_id=None, patient=p, noise=NoiseModel(),
+    runs = [replace(template, patient=p, noise=NoiseModel(),
                     controller=replace(template.controller, tf2=t, nominal_e0=None))
             for p, t in zip(patients, tf2)]
     ys = _closed_loop_lanes(runs, (signal,))[:, 0]
@@ -265,7 +265,7 @@ class TestLaneParity:
         assert got == expected
 
     def test_cohort_matches_scalar_on_tuning_scenario(self, cohort):
-        template = replace(default_tuning_scenario(), patient_id=None)
+        template = default_tuning_scenario()
         expected = [
             iae(run_closed_loop(replace(template, patient=p)), 50.0, signal="bis_measured")
             for p in cohort]

@@ -354,14 +354,17 @@ class TestStateProperties:
                     Demographics(**{**good, name: bad}, sex=Sex.FEMALE)
 
     @pytest.mark.parametrize("name", ["emax", "ce50", "gamma"])
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    # an integer above the float range compares below math.inf
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf,
+                                     pytest.param(10**400, id="int_above_float_range")])
     def test_hill_validation(self, name, bad):
         good = {"e0": 93.1, "emax": 87.5, "ce50": 4.92, "gamma": 2.69}
         with pytest.raises(ModelError, match=f"{name} must be finite and positive"):
             HillParams(**{**good, name: bad})
 
     @pytest.mark.parametrize("name", ["v1", "v2", "v3", "cl1", "cl2", "cl3", "ke0"])
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf,
+                                     pytest.param(10**400, id="int_above_float_range")])
     def test_pk_validation(self, name, bad):
         good = {"v1": 4.27, "v2": 18.9, "v3": 238.0, "cl1": 1.8, "cl2": 1.3, "cl3": 0.8,
                 "ke0": 0.456}

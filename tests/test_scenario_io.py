@@ -3,9 +3,12 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from bisloop import (DisturbancePulse, NoiseKind, NoiseModel, PkPreset, Scenario,
-                     ScenarioError, Trajectory, cohort_member, parse_scenario,
+from bisloop import (ControllerConfig, Demographics, DisturbancePulse, HillParams,
+                     ModelError, NoiseKind, NoiseModel, PkPreset, Scenario, ScenarioError,
+                     Sex, Trajectory, VirtualPatient, cohort_member, parse_scenario,
                      run_closed_loop, run_open_loop, scenario_to_dict,
                      write_trajectory_csv)
 from bisloop.engine import TRAJECTORY_FIELDS
@@ -30,21 +33,48 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.797693134862
                999999.4999, 0.1 + 0.2, 1 / 3, 123456789.0, 1e-5, 1e-4, 99.99995, 100.0]
 
 
+@st.composite
+def _explicit_patients(draw):
+    """A patient inside the ranges of the cohort table's 12 individual rows,
+    under either preset; draws whose PK is non-physical are discarded."""
+    demo = (draw(st.integers(28, 50)), draw(st.floats(163.0, 187.0)),
+            draw(st.floats(50.0, 83.0)), draw(st.sampled_from(Sex)))
+    hill = (draw(st.floats(83.1, 98.8)), draw(st.floats(63.8, 151.0)),
+            draw(st.floats(4.82, 13.7)), draw(st.floats(1.65, 6.89)))
+    try:
+        return VirtualPatient(draw(st.integers(0, 10**6)), Demographics(*demo),
+                              HillParams(*hill), draw(st.sampled_from(PkPreset)))
+    except ModelError:
+        assume(False)
+
+
+SCENARIOS = st.builds(
+    Scenario,
+    patient=st.one_of(st.integers(1, 13), _explicit_patients()),
+    controller=st.builds(ControllerConfig,
+                         nominal_e0=st.one_of(st.none(), st.floats(1.0, 100.0))),
+    noise=st.builds(NoiseModel, st.sampled_from(NoiseKind), st.floats(0.0, 8.0)),
+    disturbance=st.lists(st.builds(DisturbancePulse, st.floats(0.0, 60.0),
+                                   st.floats(0.01, 10.0), st.floats(-50.0, 50.0)),
+                         max_size=2).map(tuple),
+    seed=st.integers(0, 2**32))
+
+
 class TestParseScenario:
     def test_minimal_document_gets_defaults(self):
         s = parse_scenario('{"patient_id": 13, "duration_min": 60}')
-        assert s.patient_id == 13
+        assert s.patient.id == 13
         assert s.duration == 60.0
         assert s.h == pytest.approx(1 / 60)
         assert s.seed == 0
-        assert s.pk_preset is PkPreset.SCHNIDER_CORRECTED
+        assert s.patient.pk_preset is PkPreset.SCHNIDER_CORRECTED
         assert s.controller.target_bis == 50.0
         assert s.noise.kind is NoiseKind.NONE
         assert s.disturbance == ()
 
     def test_empty_document_is_all_defaults(self):
         s = parse_scenario("{}")
-        assert s.resolve_patient().id == 13
+        assert s.patient.id == 13
 
     def test_unknown_patient_id(self):
         with pytest.raises(ScenarioError, match="unknown patient id"):
@@ -104,7 +134,7 @@ class TestParseScenario:
             "pk_preset": "as_published",
         }
         s = parse_scenario(json.dumps(doc))
-        p = s.resolve_patient()
+        p = s.patient
         assert p.id == 99
         assert p.pk.v3 == 2.38
 
@@ -141,20 +171,32 @@ class TestParseScenario:
         s2 = parse_scenario(json.dumps(scenario_to_dict(s1)))
         assert s1 == s2
 
+    # The example's preset differs from the default one: the document must
+    # carry the preset of the patient that runs.
+    @example(scenario=Scenario(patient=VirtualPatient(
+        5, Demographics(30, 190.0, 95.0, Sex.MALE), HillParams(95, 90, 5, 2),
+        PkPreset.AS_PUBLISHED)))
+    @given(scenario=SCENARIOS)
+    def test_round_trip_property(self, scenario):
+        assert parse_scenario(json.dumps(scenario_to_dict(scenario))) == scenario
+
+    def test_cohort_id_is_its_member(self):
+        assert Scenario(patient=7) == Scenario(patient=cohort_member(7))
+
 
 class TestTrajectoryCsv:
     def test_empty_trajectory_header_only(self):
         assert write_trajectory_csv(Trajectory()) == TRAJECTORY_CSV_HEADER + "\n"
 
     def test_single_record_two_lines(self):
-        traj = run_closed_loop(Scenario(patient_id=13, duration=1 / 60))
+        traj = run_closed_loop(Scenario(patient=13, duration=1 / 60))
         text = write_trajectory_csv(traj)
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert lines[0] == TRAJECTORY_CSV_HEADER
 
     def test_round_trip_six_significant_digits(self):
-        traj = run_closed_loop(Scenario(patient_id=13, duration=0.5))
+        traj = run_closed_loop(Scenario(patient=13, duration=0.5))
         lines = write_trajectory_csv(traj).strip().split("\n")
         header = lines[0].split(",")
         for i, line in enumerate(lines[1:]):
@@ -202,7 +244,7 @@ class TestTrajectoryCsv:
     # The digests pin the CSV bytes of a noisy, pulsed closed-loop run and of
     # a multi-breakpoint open-loop run under the exact zero-order-hold PK step.
     def test_closed_loop_csv_bytes_pinned(self):
-        s = Scenario(patient_id=7, duration=10.0, seed=3,
+        s = Scenario(patient=7, duration=10.0, seed=3,
                      noise=NoiseModel(NoiseKind.GAUSSIAN, 2.0),
                      disturbance=(DisturbancePulse(2.0, 1.0, 10.0),
                                   DisturbancePulse(6.0, 1.5, -8.0)))
