@@ -8,14 +8,12 @@ innovation-filter tuning sweep.
 
 from .control import (ControllerConfig, ControllerState, DEFAULT_TF2_MIN, Lp2State,
                       controller_step, inverse_hill, lp2_step)
-from .engine import (DisturbancePulse, NoiseKind, NoiseModel, Scenario, Trajectory,
-                     disturbance_at, noise_stream, run_closed_loop, run_many,
-                     run_open_loop)
+from .engine import (DisturbancePulse, Scenario, Trajectory, disturbance_at, noise_stream,
+                     run_closed_loop, run_many, run_open_loop)
 from .errors import (BisloopError, ControllerError, ModelError,
                      NonPhysicalParameterError, ScenarioError)
 from .metrics import (MetricsReport, SweepResult, TuningError, ce_bis_curve,
-                      cohort_target_window, degradation_ratio, iae, induction_time,
-                      summarize, tune_tf2)
+                      degradation_ratio, iae, induction_time, summarize, tune_tf2)
 from .patient import (Demographics, DiscretePk, HillParams, PatientState, PkParams,
                       PkPreset, Sex, VirtualPatient, builtin_cohort, cohort_member,
                       derive_pk_params, hill_bis, lean_body_mass, pk_derivatives)
@@ -28,11 +26,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BisloopError", "ControllerConfig", "ControllerError", "ControllerState",
     "DEFAULT_TF2_MIN", "Demographics", "DiscretePk", "DisturbancePulse", "HillParams",
-    "Lp2State", "MetricsReport", "ModelError", "NoiseKind", "NoiseModel",
-    "NonPhysicalParameterError", "PatientState", "PkParams",
-    "PkPreset", "Scenario", "ScenarioError", "Sex", "SweepResult",
+    "Lp2State", "MetricsReport", "ModelError", "NonPhysicalParameterError",
+    "PatientState", "PkParams", "PkPreset", "Scenario", "ScenarioError", "Sex", "SweepResult",
     "Trajectory", "TuningError", "VirtualPatient", "builtin_cohort",
-    "ce_bis_curve", "cohort_csv", "cohort_member", "cohort_target_window",
+    "ce_bis_curve", "cohort_csv", "cohort_member",
     "controller_step", "degradation_ratio", "derive_pk_params", "disturbance_at",
     "hill_bis", "iae", "induction_time", "inverse_hill", "lean_body_mass",
     "lp2_step", "metrics_csv", "noise_stream", "parse_scenario", "pk_derivatives",

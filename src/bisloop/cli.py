@@ -117,9 +117,9 @@ def cmd_tune_tf2(args) -> int:
 
 def cmd_curve(args) -> int:
     if args.patient == "all":
-        patients = builtin_cohort(PkPreset(args.preset))
+        patients = builtin_cohort()
     else:
-        patients = [cohort_member(int(args.patient), PkPreset(args.preset))]
+        patients = [cohort_member(int(args.patient))]
     lines = ["patient_id,ce_mg_l,bis"]
     series = []
     for p in patients:
@@ -177,8 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patient", required=True, help="patient id or 'all'")
     p.add_argument("--ce-max", type=float, default=15.0)
     p.add_argument("--points", type=int, default=301)
-    p.add_argument("--preset", default=PkPreset.SCHNIDER_CORRECTED.value,
-                   choices=[x.value for x in PkPreset])
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None)
     p.set_defaults(func=cmd_curve)

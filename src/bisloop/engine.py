@@ -10,8 +10,8 @@ seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -28,29 +28,12 @@ from .patient import (AVERAGE_PATIENT_ID, DiscretePk, VirtualPatient, ZERO_STATE
 MAX_STEPS = 1_000_000
 
 
-class NoiseKind(str, Enum):
-    NONE = "none"
-    GAUSSIAN = "gaussian"
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive measurement noise on the BIS channel."""
-
-    kind: NoiseKind = NoiseKind.NONE
-    sigma: float = 2.0    # BIS units
-
-    def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:
-            raise ScenarioError(f"noise sigma must be finite and >= 0, got {self.sigma}")
-
-
-def noise_stream(model: NoiseModel, seed: int, n_steps: int) -> np.ndarray:
-    """A run's BIS offsets, one per step: all zero for the no-noise model,
-    else default_rng(seed).normal(0, sigma, n_steps)."""
-    if model.kind is NoiseKind.NONE or model.sigma == 0.0:
+def noise_stream(sigma: float, seed: int, n_steps: int) -> np.ndarray:
+    """A run's additive Gaussian BIS offsets, one per step: all zero when
+    sigma is 0, else default_rng(seed).normal(0, sigma, n_steps)."""
+    if sigma == 0.0:
         return np.zeros(n_steps)
-    return np.random.default_rng(seed).normal(0.0, model.sigma, n_steps)
+    return np.random.default_rng(seed).normal(0.0, sigma, n_steps)
 
 
 class DisturbancePulse(NamedTuple):
@@ -80,12 +63,12 @@ class Scenario:
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     duration: float = 60.0      # min
     h: float = 1.0 / 60.0       # min
-    noise: NoiseModel = field(default_factory=NoiseModel)
+    noise: float = 0.0          # sigma of the Gaussian BIS noise, BIS units
     disturbance: tuple[DisturbancePulse, ...] = ()
     seed: int = 0
 
     def __post_init__(self):
-        _check_run(self.duration, self.h, self.seed, self.disturbance)
+        _check_run(self.duration, self.h, self.noise, self.seed, self.disturbance)
         if not isinstance(self.patient, VirtualPatient):
             object.__setattr__(self, "patient", cohort_member(self.patient))
 
@@ -94,20 +77,25 @@ class Scenario:
         return _step_count(self.duration, self.h)
 
 
-def _check_run(duration: float, h: float, seed: int,
+def _check_run(duration: float, h: float, noise: float, seed: int,
                disturbance: Sequence[DisturbancePulse]) -> None:
-    """Reject run settings no run can use; zero-step runs are left to _run."""
+    """Reject run settings no run can use."""
     for name, value in (("duration", duration), ("h", h)):
-        if not 0 < value < math.inf:
+        if not 0 < value <= sys.float_info.max:
             raise ScenarioError(f"{name} must be finite and positive, got {value}")
     if duration / h > MAX_STEPS:
         raise ScenarioError(f"run of {duration / h:.6g} steps (duration={duration} min, "
                             f"h={h} min) exceeds MAX_STEPS={MAX_STEPS}")
+    # Only after the budget test, which keeps duration / h within int range.
+    if _step_count(duration, h) < 1:
+        raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
+    if not 0 <= noise <= sys.float_info.max:
+        raise ScenarioError(f"noise sigma must be finite and >= 0, got {noise}")
     if seed < 0:
         raise ScenarioError(f"seed must be >= 0, got {seed}")
     for p in disturbance:
-        if not (math.isfinite(p.start) and 0 < p.duration < math.inf
-                and math.isfinite(p.amplitude)):
+        if not (abs(p.start) <= sys.float_info.max and 0 < p.duration <= sys.float_info.max
+                and abs(p.amplitude) <= sys.float_info.max):
             raise ScenarioError(f"disturbance pulse needs a finite start and amplitude and "
                                 f"a finite, positive duration, got {p}")
 
@@ -146,16 +134,13 @@ TRAJECTORY_FIELDS = tuple(f.name for f in fields(Trajectory))
 
 
 def resolve_controller(cfg: ControllerConfig, patient: VirtualPatient) -> ControllerConfig:
-    """The run's validated controller config, its nominal e0 defaulting to the
-    patient's measured awake BIS."""
-    if cfg.nominal_e0 is None:
-        cfg = replace(cfg, nominal_e0=patient.hill.e0)
-    cfg.validate()
-    return cfg
+    """The run's controller config, its nominal e0 defaulting to the patient's
+    measured awake BIS; building it checks the target against that e0."""
+    return cfg if cfg.nominal_e0 is not None else replace(cfg, nominal_e0=patient.hill.e0)
 
 
 def _run(patient: VirtualPatient, duration: float, h: float,
-         disturbance: Sequence[DisturbancePulse], noise: NoiseModel, seed: int,
+         disturbance: Sequence[DisturbancePulse], noise: float, seed: int,
          control: Callable[[float, float], tuple]) -> Trajectory:
     """The step loop both runners share.
 
@@ -165,8 +150,6 @@ def _run(patient: VirtualPatient, duration: float, h: float,
     the run with the failing step index attached.
     """
     n_steps = _step_count(duration, h)
-    if n_steps < 1:
-        raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
     offsets = noise_stream(noise, seed, n_steps)
     # A noise-free run's offsets are all +0.0: repeated, not held as a list.
     offsets = offsets.tolist() if offsets.any() else repeat(0.0, n_steps)
@@ -244,7 +227,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     p_e0, p_emax, p_ce50, p_gamma = lanes([p.hill for p in patients], "e0 emax ce50 gamma")
     e0, kp, ki, u_max, tf1, tf2 = lanes(cfgs, "nominal_e0 kp ki u_max tf1 tf2")
     inv_gamma, p_c50g = 1.0 / POPULATION_GAMMA, np.float_power(p_ce50, p_gamma)
-    # resolve_controller validated every target, so each one inverts.
+    # Each resolved config checked its target against its e0, so each one inverts.
     ce_ref = np.array([c.ce_ref for c in cfgs])
     a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
               for tf in (tf1, tf2))
@@ -335,7 +318,7 @@ def _rate_at(profile: InfusionProfile, t: float) -> float:
 
 def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
                   duration: float, h: float = 1.0 / 60.0,
-                  noise: NoiseModel | None = None,
+                  noise: float = 0.0,
                   disturbance: Sequence[DisturbancePulse] = (),
                   seed: int = 0) -> Trajectory:
     """Simulate a prescribed piecewise-constant infusion (no controller).
@@ -344,16 +327,17 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     (start_min, rate) breakpoints, starts finite and non-decreasing; the last
     of equal starts wins.  Controller columns are recorded as None.
     """
-    _check_run(duration, h, seed, disturbance)
+    _check_run(duration, h, noise, seed, disturbance)
     if isinstance(profile, (int, float)):
         profile = ((0.0, profile),)
-    profile = tuple((float(s), float(r)) for s, r in profile)
-    if not all(0 <= r < math.inf for _, r in profile):
+    # Checked before float(), which raises OverflowError beyond the float range.
+    if not all(0 <= r <= sys.float_info.max for _, r in profile):
         raise ScenarioError("infusion rates must be >= 0 and finite")
     starts = [s for s, _ in profile]
-    if not all(map(math.isfinite, starts)) or starts != sorted(starts):
+    if not all(abs(s) <= sys.float_info.max for s in starts) or starts != sorted(starts):
         raise ScenarioError(f"breakpoint starts must be finite and non-decreasing, got {starts}")
-    return _run(patient, duration, h, disturbance, noise or NoiseModel(), seed,
+    profile = tuple((float(s), float(r)) for s, r in profile)
+    return _run(patient, duration, h, disturbance, noise, seed,
                 lambda t, bm: (_rate_at(profile, t), None, None, None, None))
 
 
@@ -371,9 +355,8 @@ def run_many(scenarios: Iterable[Scenario]) -> list[Trajectory]:
     for i, s in enumerate(scenarios):
         groups.setdefault((s.h, s.n_steps), []).append(i)
     out: list[Trajectory] = [None] * len(scenarios)
-    for (_, n_steps), members in groups.items():
-        # The scalar loop also rejects a run without steps.
-        if len(members) == 1 or n_steps < 1:
+    for members in groups.values():
+        if len(members) == 1:
             for i in members:
                 out[i] = run_closed_loop(scenarios[i])
             continue

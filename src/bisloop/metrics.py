@@ -12,10 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .control import inverse_hill
-from .engine import DisturbancePulse, NoiseModel, Scenario, Trajectory, _closed_loop_lanes
+from .engine import DisturbancePulse, Scenario, Trajectory, _closed_loop_lanes
 from .errors import BisloopError, ScenarioError
 from .patient import VirtualPatient, builtin_cohort, hill_bis
+
+
+# induction_time's target band (BIS units) and hold window (min).
+INDUCTION_BAND = 5.0
+INDUCTION_HOLD_MIN = 1.0
 
 
 def _signal(traj: Trajectory, name: str) -> list[float]:
@@ -51,16 +55,16 @@ def _trapezoid_iae(ts, ys, target_bis: float):
     return total
 
 
-def induction_time(traj: Trajectory, target_bis: float, band: float = 5.0,
-                   hold: float = 1.0, signal: str = "bis_true") -> float | None:
-    """Earliest time the BIS settles into the target band.
+def induction_time(traj: Trajectory, target_bis: float) -> float | None:
+    """Earliest time the drug-effect BIS (bis_true) settles into the target
+    band.
 
-    Settling requires the signal to stay within +/-band for the following
-    hold window and never to leave +/-2*band afterwards until the end of
-    the run.  Returns None when the band is never held.
+    Settling requires the signal to stay within +/-INDUCTION_BAND for the
+    following INDUCTION_HOLD_MIN and never to leave +/-2*INDUCTION_BAND
+    afterwards until the end of the run.  Returns None when the band is
+    never held.
     """
-    ys = _signal(traj, signal)
-    ts = traj.t
+    ys, ts, band = traj.bis_true, traj.t, INDUCTION_BAND
     n = len(ts)
     if n == 0:
         return None
@@ -77,7 +81,7 @@ def induction_time(traj: Trajectory, target_bis: float, band: float = 5.0,
             continue
         if j < i:
             j = i
-        end = ts[i] + hold
+        end = ts[i] + INDUCTION_HOLD_MIN
         while j < n and ts[j] <= end and lo <= ys[j] <= hi:
             j += 1
         if j >= n or ts[j] > end:
@@ -96,16 +100,16 @@ class MetricsReport:
     max_u: float
 
 
-def summarize(traj: Trajectory, target_bis: float, band: float = 5.0,
-              signal: str = "bis_true") -> MetricsReport:
-    ys = _signal(traj, signal)
-    t_ind = induction_time(traj, target_bis, band=band, signal=signal)
+def summarize(traj: Trajectory, target_bis: float) -> MetricsReport:
+    """The run's headline numbers, all scored on the drug-effect BIS."""
+    ys = traj.bis_true
+    t_ind = induction_time(traj, target_bis)
     min_post = None
     for y, t in zip(ys, traj.t):
         if t_ind is not None and t >= t_ind:
             min_post = y if min_post is None else min(min_post, y)
     return MetricsReport(
-        iae=iae(traj, target_bis, signal=signal),
+        iae=iae(traj, target_bis),
         induction_time=t_ind,
         min_bis_post_crossing=min_post,
         steady_state_error=abs(ys[-1] - target_bis),
@@ -154,7 +158,7 @@ def default_tuning_scenario() -> Scenario:
     return Scenario(
         patient=13,
         duration=30.0,
-        noise=NoiseModel(),
+        noise=0.0,
         disturbance=(DisturbancePulse(start=15.0, duration=1.0, amplitude=10.0),),
     )
 
@@ -202,7 +206,7 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     # template on one patient, noise-free, with the nominal curve resolved
     # from that patient.
     settings = [0.0] + [tf2 for tf2 in grid if tf2 != 0.0]
-    runs = [replace(template, patient=p, noise=NoiseModel(),
+    runs = [replace(template, patient=p, noise=0.0,
                     controller=replace(template.controller, tf2=tf2, nominal_e0=None))
             for tf2 in settings for p in cohort]
     ys = _closed_loop_lanes(runs, (signal,))[:, 0]
@@ -235,16 +239,3 @@ def ce_bis_curve(patient: VirtualPatient, ce_max: float,
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     step = ce_max / (n_points - 1)
     return [(i * step, hill_bis(i * step, patient.hill)) for i in range(n_points)]
-
-
-def cohort_target_window(cohort: list[VirtualPatient], target_bis: float = 50.0,
-                         lo: float = 3.0, hi: float = 9.0
-                         ) -> list[tuple[int, float, bool]]:
-    """Per patient: the ce reaching the target BIS and whether it falls in
-    the expected clinical window.  Raises ControllerError when a patient's
-    curve cannot reach target_bis."""
-    out = []
-    for p in cohort:
-        ce = inverse_hill(target_bis, p.hill)
-        out.append((p.id, ce, lo <= ce <= hi))
-    return out

@@ -14,8 +14,7 @@ from itertools import repeat
 from typing import Any
 
 from .control import ControllerConfig
-from .engine import (TRAJECTORY_FIELDS, DisturbancePulse, NoiseKind, NoiseModel,
-                     Scenario, Trajectory)
+from .engine import TRAJECTORY_FIELDS, DisturbancePulse, Scenario, Trajectory
 from .errors import ModelError, ScenarioError
 from .metrics import MetricsReport, SweepResult
 from .patient import (Demographics, HillParams, PkPreset, Sex, VirtualPatient,
@@ -94,16 +93,17 @@ def _parse_controller(obj: Any) -> ControllerConfig:
         raise ScenarioError(f"controller.nominal_e0: {e}") from e
 
 
-def _parse_noise(obj: Any) -> NoiseModel:
+def _parse_noise(obj: Any) -> float:
+    """The noise sigma; kind "none" is sigma 0, though its sigma_bis is
+    still checked."""
     obj = _require_mapping(obj, "noise")
     _check_keys(obj, {"kind", "sigma_bis"}, "noise")
     kind_raw = obj.get("kind", "none")
-    try:
-        kind = NoiseKind(str(kind_raw).lower())
-    except ValueError:
+    kind = str(kind_raw).lower()
+    if kind not in ("none", "gaussian"):
         raise ScenarioError(f"noise.kind: expected 'none' or 'gaussian', got {kind_raw!r}")
-    return NoiseModel(kind=kind, sigma=_number(obj, "sigma_bis", "noise", 2.0,
-                                               non_negative=True))
+    sigma = _number(obj, "sigma_bis", "noise", 2.0, non_negative=True)
+    return sigma if kind == "gaussian" else 0.0
 
 
 def _parse_disturbance(obj: Any) -> tuple[DisturbancePulse, ...]:
@@ -176,7 +176,7 @@ def parse_scenario(text: str) -> Scenario:
 
     controller = _parse_controller(raw["controller"]) if "controller" in raw \
         else ControllerConfig()
-    noise = _parse_noise(raw["noise"]) if "noise" in raw else NoiseModel()
+    noise = _parse_noise(raw["noise"]) if "noise" in raw else 0.0
     disturbance = _parse_disturbance(raw["disturbance"]) if "disturbance" in raw else ()
     seed = _integer(raw, "seed", "scenario", 0)
     if seed < 0:
@@ -218,7 +218,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         out["controller"]["nominal_e0"] = cfg.nominal_e0
     out["duration_min"] = scenario.duration
     out["h_min"] = scenario.h
-    out["noise"] = {"kind": scenario.noise.kind.value, "sigma_bis": scenario.noise.sigma}
+    sigma = scenario.noise or 0.0   # a sigma of -0.0 is noise-free too
+    out["noise"] = {"kind": "gaussian" if sigma else "none", "sigma_bis": sigma}
     out["disturbance"] = [
         {"start_min": p.start, "duration_min": p.duration, "amplitude_bis": p.amplitude}
         for p in scenario.disturbance

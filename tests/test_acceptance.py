@@ -13,7 +13,7 @@ import random
 import pytest
 
 from bisloop import (ControllerConfig, Demographics, DisturbancePulse, HillParams,
-                     NoiseKind, DiscretePk, NoiseModel, NonPhysicalParameterError,
+                     DiscretePk, NonPhysicalParameterError,
                      PatientState, PkParams, PkPreset, Scenario, Sex,
                      cohort_member, derive_pk_params, hill_bis, inverse_hill,
                      pk_derivatives, run_closed_loop, tune_tf2)
@@ -185,8 +185,7 @@ def test_criterion_6_disturbance_rejection():
     check("6 |BIS-50| < 2 within 10 min of pulse end", max(late) < 2.0,
           f"worst after t=41: {max(late):.3f}")
 
-    noisy = Scenario(patient=13, disturbance=(pulse,), seed=1234,
-                     noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0))
+    noisy = Scenario(patient=13, disturbance=(pulse,), seed=1234, noise=2.0)
     a = run_closed_loop(noisy)
     b = run_closed_loop(noisy)
     check("6 noisy run bit-reproducible",
@@ -262,7 +261,7 @@ def test_criterion_8_filter_dc_gain():
 def test_criterion_8_actuator_bound(p13_nominal_traj):
     runs = [p13_nominal_traj,
             run_closed_loop(Scenario(patient=5, duration=10.0, seed=7,
-                                     noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0),
+                                     noise=2.0,
                                      disturbance=(DisturbancePulse(5.0, 1.0, 10.0),)))]
     u_max = Scenario().controller.u_max
     ok = all(0.0 <= u <= u_max for traj in runs for u in traj.u)

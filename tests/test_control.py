@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisloop import (ControllerConfig, ControllerError, ControllerState, DiscretePk,
-                     Lp2State, ModelError, PatientState, Scenario, cohort_member,
-                     controller_step, inverse_hill, lp2_step, run_closed_loop)
+                     Lp2State, ModelError, PatientState, cohort_member,
+                     controller_step, inverse_hill, lp2_step)
 
 NOMINAL_P13 = ControllerConfig(nominal_e0=93.1).nominal
 
@@ -115,7 +115,6 @@ class TestControllerStep:
     def setup_method(self):
         self.patient = cohort_member(13)
         self.cfg = ControllerConfig(nominal_e0=self.patient.hill.e0)
-        self.cfg.validate()
         self.model = DiscretePk(self.patient.pk, 1 / 60)
 
     def test_fixed_point_is_preserved(self):
@@ -176,10 +175,8 @@ class TestControllerStep:
             controller_step(cs, self.cfg, self.model, math.nan)
 
     def test_non_positive_u_max_rejected(self):
-        cfg = ControllerConfig(u_max=0.0, nominal_e0=self.patient.hill.e0)
-        cs = ControllerState.initial(cfg, awake_bis=self.patient.hill.e0)
-        with pytest.raises(ControllerError, match="u_max must be positive"):
-            controller_step(cs, cfg, self.model, self.patient.hill.e0)
+        with pytest.raises(ControllerError, match="u_max must be finite and positive"):
+            ControllerConfig(u_max=0.0, nominal_e0=self.patient.hill.e0)
 
     def test_unresolved_nominal_rejected(self):
         cfg = ControllerConfig()
@@ -189,33 +186,33 @@ class TestControllerStep:
 
     def test_config_validation(self):
         with pytest.raises(ControllerError):
-            ControllerConfig(tf1=-1.0).validate()
+            ControllerConfig(tf1=-1.0)
         with pytest.raises(ControllerError):
-            ControllerConfig(u_max=0.0).validate()
+            ControllerConfig(u_max=0.0)
         with pytest.raises(ControllerError):
-            ControllerConfig(target_bis=95.0, nominal_e0=93.1).validate()
+            ControllerConfig(target_bis=95.0, nominal_e0=93.1)
 
     @pytest.mark.parametrize("field, value", [
         ("kp", math.nan), ("ki", math.inf), ("tf1", math.nan), ("tf2", math.inf),
-        ("u_max", math.inf), ("target_bis", math.nan)])
+        ("u_max", math.inf), ("target_bis", math.nan),
+        pytest.param("kp", 10**400, id="kp-int_above_float_range")])
     def test_non_finite_setting_rejected_before_the_run(self, field, value):
-        cfg = ControllerConfig(nominal_e0=93.1, **{field: value})
-        with pytest.raises(ControllerError, match=f"{field} must be finite"):
-            cfg.validate()
-        scenario = Scenario(patient=13, duration=1.0, controller=replace(cfg, nominal_e0=None))
-        with pytest.raises(ControllerError, match=f"^{field} must be finite"):
-            run_closed_loop(scenario)
+        for nominal_e0 in (93.1, None):
+            with pytest.raises(ControllerError, match=f"^{field} must be finite"):
+                ControllerConfig(nominal_e0=nominal_e0, **{field: value})
 
     @pytest.mark.parametrize("target", [3.0, 93.1 - 87.5])
     def test_unreachable_target_rejected(self, target):
-        # the nominal curve bottoms out at e0 - emax = 5.6
-        cfg = ControllerConfig(target_bis=target, nominal_e0=93.1)
+        # the nominal curve bottoms out at e0 - emax = 5.6, checked also when
+        # replace() sets the e0
         with pytest.raises(ControllerError, match=f"target_bis={target} is below"):
-            cfg.validate()
+            ControllerConfig(target_bis=target, nominal_e0=93.1)
+        with pytest.raises(ControllerError, match=f"target_bis={target} is below"):
+            replace(ControllerConfig(target_bis=target), nominal_e0=93.1)
 
     def test_lowest_reachable_target_accepted(self):
         target = 93.1 - 87.5 + 1e-9
-        ControllerConfig(target_bis=target, nominal_e0=93.1).validate()
+        ControllerConfig(target_bis=target, nominal_e0=93.1)
         assert inverse_hill(target, NOMINAL_P13) > 0.0
 
     @pytest.mark.parametrize("e0", [math.nan, 120.0])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bisloop import (BisloopError, ControllerConfig, DisturbancePulse, HillParams,
-                     ModelError, NoiseKind, NoiseModel, Scenario, ScenarioError,
+                     ModelError, Scenario, ScenarioError,
                      cohort_member, disturbance_at, noise_stream, run_closed_loop,
                      run_many, run_open_loop, tune_tf2)
 from bisloop.control import inverse_hill
@@ -33,32 +33,30 @@ class TestDisturbance:
 
 class TestNoise:
     def test_none_model(self):
-        assert noise_stream(NoiseModel(), 0, 5).tolist() == [0.0] * 5
+        assert noise_stream(Scenario().noise, 0, 5).tolist() == [0.0] * 5
 
     def test_zero_sigma(self):
-        model = NoiseModel(NoiseKind.GAUSSIAN, sigma=0.0)
-        assert noise_stream(model, 0, 5).tolist() == [0.0] * 5
+        assert noise_stream(0.0, 0, 5).tolist() == [0.0] * 5
 
     def test_large_sample_statistics(self):
-        model = NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0)
-        samples = noise_stream(model, 0, 1_000_000)
+        samples = noise_stream(2.0, 0, 1_000_000)
         assert abs(samples.mean()) < 0.01
         assert abs(samples.std() - 2.0) < 0.01
 
     def test_stream_is_pure_function_of_seed(self):
-        model = NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0)
-        a = noise_stream(model, 42, 5).tolist()
-        b = noise_stream(model, 42, 5).tolist()
+        a = noise_stream(2.0, 42, 5).tolist()
+        b = noise_stream(2.0, 42, 5).tolist()
         assert a == b
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ScenarioError):
-            NoiseModel(NoiseKind.GAUSSIAN, sigma=-1.0)
+            Scenario(noise=-1.0)
 
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf,
+                                       pytest.param(10**400, id="int_above_float_range")])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(ScenarioError, match="sigma must be finite"):
-            NoiseModel(NoiseKind.GAUSSIAN, sigma=sigma)
+            Scenario(noise=sigma)
 
 
 class TestClosedLoop:
@@ -77,8 +75,7 @@ class TestClosedLoop:
         assert abs(traj.bis_true[-1] - 50.0) < 0.5
 
     def test_reproducible_with_noise(self):
-        s = Scenario(patient=13, duration=5.0, seed=99,
-                     noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0))
+        s = Scenario(patient=13, duration=5.0, seed=99, noise=2.0)
         a = run_closed_loop(s)
         b = run_closed_loop(s)
         assert a.bis_measured == b.bis_measured
@@ -86,8 +83,7 @@ class TestClosedLoop:
         assert a.ce_true == b.ce_true
 
     def test_different_seed_differs(self):
-        base = dict(patient=13, duration=2.0,
-                    noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0))
+        base = dict(patient=13, duration=2.0, noise=2.0)
         a = run_closed_loop(Scenario(seed=1, **base))
         b = run_closed_loop(Scenario(seed=2, **base))
         assert a.bis_measured != b.bis_measured
@@ -101,7 +97,7 @@ class TestClosedLoop:
 
     def test_all_signals_finite_and_bounded(self):
         s = Scenario(patient=13, duration=10.0, seed=3,
-                     noise=NoiseModel(NoiseKind.GAUSSIAN, sigma=2.0),
+                     noise=2.0,
                      disturbance=(DisturbancePulse(5.0, 1.0, 10.0),))
         traj = run_closed_loop(s)
         for col in (traj.bis_true, traj.bis_measured, traj.bis_filtered, traj.u,
@@ -224,13 +220,16 @@ class TestOpenLoop:
         with pytest.raises(ScenarioError, match="h=0.02 min, duration=0.01 min"):
             run_open_loop(cohort_member(13), 10.0, duration=0.01, h=0.02)
 
-    @pytest.mark.parametrize("profile", [math.inf, ((0.0, 10.0), (0.5, math.inf))])
+    @pytest.mark.parametrize("profile", [
+        math.inf, ((0.0, 10.0), (0.5, math.inf)),
+        pytest.param(10**400, id="int_above_float_range"),
+        pytest.param(((0.0, 10**400),), id="int_above_float_range_breakpoint")])
     def test_infinite_rate_rejected(self, profile):
         with pytest.raises(ScenarioError, match="infusion rates must be >= 0 and finite"):
             run_open_loop(cohort_member(13), profile, duration=1.0)
 
     @pytest.mark.parametrize("profile", [((10.0, 5.0), (0.0, 3.0)), ((math.nan, 5.0),),
-                                         ((0.0, 5.0), (math.inf, 3.0))])
+                                         ((0.0, 5.0), (math.inf, 3.0)), ((10**400, 5.0),)])
     def test_breakpoints_out_of_order_or_non_finite_rejected(self, profile):
         with pytest.raises(ScenarioError, match="breakpoint starts must be finite"):
             run_open_loop(cohort_member(13), profile, duration=20.0)
@@ -293,8 +292,7 @@ CONTROLLERS = st.builds(
 def _scenarios(durations):
     return st.builds(Scenario, patient=st.integers(1, 13), controller=CONTROLLERS,
                      duration=durations,
-                     noise=st.builds(NoiseModel, st.just(NoiseKind.GAUSSIAN),
-                                     st.floats(0.0, 8.0)),
+                     noise=st.floats(0.0, 8.0),
                      disturbance=PULSES, seed=st.integers(0, 2**32))
 
 
@@ -419,7 +417,9 @@ class TestScenarioValidation:
         ({"h": math.nan}, "h must be finite"),
         ({"duration": math.inf}, "duration must be finite"),
         ({"h": math.inf}, "h must be finite"),
-        ({"seed": -1, "noise": NoiseModel(NoiseKind.GAUSSIAN)}, "seed must be >= 0"),
+        ({"seed": -1, "noise": 2.0}, "seed must be >= 0"),
+        ({"duration": 10**400}, "duration must be finite"),
+        ({"h": 10**400}, "h must be finite"),
     ])
     def test_non_finite_settings_and_negative_seed_rejected(self, kwargs, match):
         with pytest.raises(ScenarioError, match=match):
@@ -437,7 +437,8 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("pulse", [DisturbancePulse(0.0, -1.0, 5.0),
                                        DisturbancePulse(math.nan, 1.0, 5.0),
                                        DisturbancePulse(0.0, math.inf, 5.0),
-                                       DisturbancePulse(0.0, 1.0, math.nan)])
+                                       DisturbancePulse(0.0, 1.0, math.nan),
+                                       DisturbancePulse(10**400, 1.0, 5.0)])
     def test_bad_pulse_rejected(self, pulse):
         with pytest.raises(ScenarioError, match="disturbance pulse"):
             Scenario(patient=13, disturbance=(pulse,))

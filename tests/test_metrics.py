@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from bisloop import (DEFAULT_TF2_MIN, ControllerConfig, ControllerError, DisturbancePulse,
                      ModelError, Scenario, ScenarioError, Trajectory, TuningError,
-                     ce_bis_curve, cohort_member, cohort_target_window, degradation_ratio,
+                     ce_bis_curve, cohort_member, degradation_ratio,
                      iae, induction_time, inverse_hill, run_closed_loop, summarize,
                      tune_tf2)
 from bisloop import metrics
-from bisloop.engine import NoiseModel, _closed_loop_lanes
+from bisloop.engine import _closed_loop_lanes
 from bisloop.metrics import _trapezoid_iae, default_tuning_scenario
 
 
@@ -216,9 +216,8 @@ class TestTuneTf2:
 
     @pytest.mark.parametrize("h", [40.0, 29.999])
     def test_template_shorter_than_two_steps_rejected(self, h):
-        template = replace(default_tuning_scenario(), h=h)
         with pytest.raises(ScenarioError, match=rf"h={h} min, duration=30.0 min"):
-            tune_tf2([0.5], template=template)
+            tune_tf2([0.5], template=replace(default_tuning_scenario(), h=h))
 
 
 # A short tuning-style run: induction, then a +10 BIS pulse at t = 3 min.
@@ -231,7 +230,7 @@ LANES = st.lists(st.tuples(st.integers(1, 13),
 
 def _lane_iaes(template, patients, tf2, signal):
     """IAE of each lane of the kernel, run on the scenarios tune_tf2 builds."""
-    runs = [replace(template, patient=p, noise=NoiseModel(),
+    runs = [replace(template, patient=p, noise=0.0,
                     controller=replace(template.controller, tf2=t, nominal_e0=None))
             for p, t in zip(patients, tf2)]
     ys = _closed_loop_lanes(runs, (signal,))[:, 0]
@@ -314,14 +313,7 @@ class TestCeBisCurve:
                 ce_bis_curve(p, ce_max=bad, n_points=10)
 
     def test_cohort_window_report(self, cohort):
-        report = cohort_target_window(cohort, target_bis=50.0, lo=3.0, hi=9.0)
-        assert len(report) == 13
-        outside = [pid for pid, _, inside in report if not inside]
         # every member's half-depth concentration sits in the expected
-        # clinical window for this cohort
-        assert outside == []
-
-    def test_cohort_window_unreachable_target(self, cohort):
-        # patient 1 bottoms out at e0 - emax = 98.8 - 94.1
-        with pytest.raises(ControllerError, match="inverse Hill out of domain"):
-            cohort_target_window(cohort, target_bis=3.0)
+        # clinical window of 3-9 mg/L for this cohort
+        assert len(cohort) == 13
+        assert all(3.0 <= inverse_hill(50.0, p.hill) <= 9.0 for p in cohort)

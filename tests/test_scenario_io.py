@@ -7,7 +7,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from bisloop import (ControllerConfig, Demographics, DisturbancePulse, HillParams,
-                     ModelError, NoiseKind, NoiseModel, PkPreset, Scenario, ScenarioError,
+                     ModelError, PkPreset, Scenario, ScenarioError,
                      Sex, Trajectory, VirtualPatient, cohort_member, parse_scenario,
                      run_closed_loop, run_open_loop, scenario_to_dict,
                      write_trajectory_csv)
@@ -51,9 +51,9 @@ def _explicit_patients(draw):
 SCENARIOS = st.builds(
     Scenario,
     patient=st.one_of(st.integers(1, 13), _explicit_patients()),
-    controller=st.builds(ControllerConfig,
-                         nominal_e0=st.one_of(st.none(), st.floats(1.0, 100.0))),
-    noise=st.builds(NoiseModel, st.sampled_from(NoiseKind), st.floats(0.0, 8.0)),
+    controller=st.builds(ControllerConfig, nominal_e0=st.one_of(
+        st.none(), st.floats(50.0, 100.0, exclude_min=True))),
+    noise=st.floats(0.0, 8.0),
     disturbance=st.lists(st.builds(DisturbancePulse, st.floats(0.0, 60.0),
                                    st.floats(0.01, 10.0), st.floats(-50.0, 50.0)),
                          max_size=2).map(tuple),
@@ -69,12 +69,23 @@ class TestParseScenario:
         assert s.seed == 0
         assert s.patient.pk_preset is PkPreset.SCHNIDER_CORRECTED
         assert s.controller.target_bis == 50.0
-        assert s.noise.kind is NoiseKind.NONE
+        assert s.noise == 0.0
         assert s.disturbance == ()
 
     def test_empty_document_is_all_defaults(self):
         s = parse_scenario("{}")
         assert s.patient.id == 13
+
+    def test_noise_free_spellings_are_one_scenario(self):
+        # kind "none" is sigma 0 whatever its sigma_bis, so every noise-free
+        # document names one run
+        scenarios = [parse_scenario(doc) for doc in (
+            "{}", '{"noise": {"kind": "none", "sigma_bis": 3}}',
+            '{"noise": {"kind": "gaussian", "sigma_bis": 0}}',
+            '{"noise": {"kind": "gaussian", "sigma_bis": -0.0}}')]
+        assert all(s == scenarios[0] for s in scenarios)
+        assert len({json.dumps(scenario_to_dict(s)) for s in scenarios}) == 1
+        assert scenario_to_dict(scenarios[0])["noise"] == {"kind": "none", "sigma_bis": 0.0}
 
     def test_unknown_patient_id(self):
         with pytest.raises(ScenarioError, match="unknown patient id"):
@@ -104,6 +115,7 @@ class TestParseScenario:
         ('{"duration_min": NaN}', "duration_min"),
         ('{"h_min": Infinity}', "h_min"),
         ('{"h_min": -Infinity}', "h_min"),
+        ('{"noise": {"kind": "none", "sigma_bis": NaN}}', "sigma_bis"),
         ('{"duration_min": 1' + "0" * 400 + '}', "duration_min"),
         ('{"disturbance": [{"start_min": 1, "duration_min": 1, "amplitude_bis": NaN}]}',
          "amplitude_bis"),
@@ -245,7 +257,7 @@ class TestTrajectoryCsv:
     # a multi-breakpoint open-loop run under the exact zero-order-hold PK step.
     def test_closed_loop_csv_bytes_pinned(self):
         s = Scenario(patient=7, duration=10.0, seed=3,
-                     noise=NoiseModel(NoiseKind.GAUSSIAN, 2.0),
+                     noise=2.0,
                      disturbance=(DisturbancePulse(2.0, 1.0, 10.0),
                                   DisturbancePulse(6.0, 1.5, -8.0)))
         text = write_trajectory_csv(run_closed_loop(s))
@@ -255,7 +267,7 @@ class TestTrajectoryCsv:
     def test_open_loop_csv_bytes_pinned(self):
         profile = ((0.0, 40.0), (1.0, 12.5), (4.0, 0.0), (6.5, 25.0))
         traj = run_open_loop(cohort_member(4), profile, duration=10.0,
-                             noise=NoiseModel(NoiseKind.GAUSSIAN, 1.5),
+                             noise=1.5,
                              disturbance=(DisturbancePulse(3.0, 2.0, -6.0),), seed=5)
         text = write_trajectory_csv(traj)
         assert _sha256(text) == \
