@@ -196,12 +196,27 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
                 scenario.seed, control)
 
 
-def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a, passthrough
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """lp2_step on lane arrays; the new x2 is the filter output."""
-    x1 = np.where(passthrough, w, x1 + a * (w - x1))
-    x2 = np.where(passthrough, w, x2 + a * (x1 - x2))
-    return x1, x2
+def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a: np.ndarray,
+               passthrough: np.ndarray | None, tmp: np.ndarray) -> None:
+    """lp2_step on lane arrays, in place; x2 is the filter output.  The
+    passthrough lanes (tf = 0), if any, take w after each section's lag."""
+    np.subtract(w, x1, tmp)
+    np.multiply(a, tmp, tmp)
+    np.add(x1, tmp, x1)
+    if passthrough is not None:
+        np.copyto(x1, w, where=passthrough)
+    np.subtract(x1, x2, tmp)
+    np.multiply(a, tmp, tmp)
+    np.add(x2, tmp, x2)
+    if passthrough is not None:
+        np.copyto(x2, w, where=passthrough)
+
+
+# The rows of the lane kernel's frame: the loop signals, then the plant state
+# c1, c2, c3, ce and the rate u, each as a patient row and a model row.
+_FRAME_ROWS = ("t", "bis_true", "bis_measured", "bis_filtered", "i_t", "ce_ref",
+               "c1", "c1_model", "c2", "c2_model", "c3", "c3_model",
+               "ce_true", "ce_model", "u", "u_model")
 
 
 @np.errstate(all="ignore")   # a failing lane's inf and NaN warn nothing
@@ -216,6 +231,14 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     by one DiscretePk step over 2L columns.  A lane's state turns non-finite
     in the step where its scalar loop fails; the first such lane re-runs
     run_closed_loop and raises its error at that step, naming the lane.
+
+    Each step is a fixed sequence of ufunc calls writing into buffers built
+    once per run: every signal lives in one frame, which also holds the
+    plant state in place, and a step records the named rows with one take.
+    What does not change per step is decided once: the per-lane pulse sums
+    and constants, and whether a filter has passthrough lanes to overwrite.
+    The noise table starts as zeros and only noisy lanes write their column,
+    so a noise-free run never makes its pages resident.
     """
     n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
     patients = [s.patient for s in scenarios]
@@ -226,71 +249,113 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
 
     p_e0, p_emax, p_ce50, p_gamma = lanes([p.hill for p in patients], "e0 emax ce50 gamma")
     e0, kp, ki, u_max, tf1, tf2 = lanes(cfgs, "nominal_e0 kp ki u_max tf1 tf2")
-    inv_gamma, p_c50g = 1.0 / POPULATION_GAMMA, np.float_power(p_ce50, p_gamma)
-    # Each resolved config checked its target against its e0, so each one inverts.
-    ce_ref = np.array([c.ce_ref for c in cfgs])
+    p_c50g = np.float_power(p_ce50, p_gamma)
+    # inverse_hill's den is (emax - e0) + bis; its first sum is per lane.
+    emax_e0 = POPULATION_EMAX - e0
+    # Constants as lane arrays: a ufunc takes an array operand faster than a float.
+    zero, hundred, nan, h_lanes, ce50, inv_gamma = (
+        np.full(n_lanes, v) for v in (0.0, 100.0, np.nan, h, POPULATION_CE50,
+                                       1.0 / POPULATION_GAMMA))
     a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
               for tf in (tf1, tf2))
-    pass1, pass2 = tf1 == 0.0, tf2 == 0.0
+    pass1, pass2 = (tf == 0.0 if (tf == 0.0).any() else None for tf in (tf1, tf2))
 
-    # Columns 0..L-1 are the patients, L..2L-1 the controller's internal
-    # models, with one DiscretePk per distinct PK set.
+    # Columns 0..L-1 of the state are the patients, L..2L-1 the controller's
+    # internal models, with one DiscretePk per distinct PK set.  Row i of a
+    # step is (phi[i] . (c1, c2, c3, ce) + gamma[i] * u), summed in that order.
     pks = [p.pk for p in patients] + [MODEL_PK] * n_lanes
     models = {pk: DiscretePk(pk, h) for pk in dict.fromkeys(pks)}
-    phi = np.stack([models[pk].phi for pk in pks], axis=-1)        # (4, 4, 2L)
-    gamma = np.stack([models[pk].gamma for pk in pks], axis=-1)    # (4, 2L)
+    step_matrix = np.stack([np.column_stack((models[pk].phi, models[pk].gamma))
+                            for pk in pks], axis=-1)                  # (4, 5, 2L)
 
-    # Pulse sums per step of each distinct profile; each lane's noise stream.
+    # Each lane's pulse sum and noise offset per step.
     profiles = {d: i for i, d in enumerate(dict.fromkeys(s.disturbance for s in scenarios))}
     pulses = np.array([[disturbance_at(d, k * h) for d in profiles] for k in range(n_steps)])
-    profile = np.array([profiles[s.disturbance] for s in scenarios])
-    noise = np.empty((n_steps, n_lanes))
+    pulses = pulses[:, [profiles[s.disturbance] for s in scenarios]]
+    noise = np.zeros((n_steps, n_lanes))
     for j, s in enumerate(scenarios):
-        noise[:, j] = noise_stream(s.noise, s.seed, n_steps)
+        if s.noise:
+            noise[:, j] = noise_stream(s.noise, s.seed, n_steps)
 
-    picks = [TRAJECTORY_FIELDS.index(name) for name in names]
-    s = np.zeros((4, 2 * n_lanes))
-    f1 = (p_e0, p_e0)
-    f2 = (np.zeros(n_lanes), np.zeros(n_lanes))
-    integrator = np.zeros(n_lanes)
-    out = np.empty((n_steps, len(picks), n_lanes))
-    for step in range(n_steps):
-        t = step * h
-        ce, ce_model = s[3, :n_lanes], s[3, n_lanes:]
-        # At ce = 0 this gives e0 exactly, as hill_bis's ce <= 0 branch does.
-        x = np.float_power(ce, p_gamma)
-        bt = p_e0 - p_emax * x / (x + p_c50g)
-        bm = bt + pulses[step, profile] + noise[step]
-        bm = np.where(bm < 0.0, 0.0, np.where(bm > 100.0, 100.0, bm))
+    frame = np.zeros((len(_FRAME_ROWS), n_lanes))
+    _, bt, bm, bis_f, i_t, ce_ref = frame[:6]
+    state_and_u = frame[6:].reshape(5, 2 * n_lanes)
+    state = state_and_u[:4]
+    ce, ce_model, u, u_model = frame[12:]
+    # Each resolved config checked its target against its e0, so each one inverts.
+    ce_ref[:] = [c.ce_ref for c in cfgs]
+    bis_f[:] = p_e0
+    f1_x1 = p_e0.copy()
+    f2_x1, integrator, proposed, x, tmp, den, ratio, err, kp_err = np.zeros((9, n_lanes))
+    mask, low, err_sign = np.empty((3, n_lanes), dtype=bool)
+    state_zero, product = np.zeros_like(state), np.empty_like(step_matrix)
+    finite = np.empty(state.shape, dtype=bool)
+    rows = np.array([_FRAME_ROWS.index(name) for name in names])
 
-        f1 = _lp2_lanes(*f1, bm, a1, pass1)
-        bis_f = f1[1]
-        den = POPULATION_EMAX - e0 + bis_f
+    out = np.empty((n_steps, len(rows), n_lanes))
+    for step, (record, pulse, offset) in enumerate(zip(out, pulses, noise)):
+        # The patient's BIS and the monitor's reading of it.  At ce = 0 this
+        # gives e0 exactly, as hill_bis's ce <= 0 branch does.
+        np.float_power(ce, p_gamma, x)
+        np.add(x, p_c50g, tmp)
+        np.multiply(p_emax, x, x)
+        np.divide(x, tmp, x)
+        np.subtract(p_e0, x, bt)
+        np.add(bt, pulse, bm)
+        np.add(bm, offset, bm)
+        np.less(bm, zero, mask)
+        np.copyto(bm, zero, where=mask)
+        np.greater(bm, hundred, mask)
+        np.copyto(bm, hundred, where=mask)
+
+        # Pre-filter, inverse nominal curve, innovation filter.
+        _lp2_lanes(f1_x1, bis_f, bm, a1, pass1, tmp)
+        np.add(emax_e0, bis_f, den)
+        np.subtract(e0, bis_f, ratio)
+        np.divide(ratio, den, ratio)
         # A validated target keeps den > 0 at every reading >= e0, so den <= 0
         # is exactly inverse_hill's out-of-domain case: NaN.  Readings at or
         # above e0 map to +0.0, as in inverse_hill.
-        ratio = np.where(den > 0.0, (e0 - bis_f) / den, np.nan)
-        ce_meas = POPULATION_CE50 * np.float_power(np.maximum(ratio, 0.0), inv_gamma)
-        f2 = _lp2_lanes(*f2, ce_meas - ce_model, a2, pass2)
-        err = ce_ref - (ce_model + f2[1])
+        np.less_equal(den, zero, mask)
+        np.copyto(ratio, nan, where=mask)
+        np.maximum(ratio, zero, out=ratio)
+        np.float_power(ratio, inv_gamma, ratio)
+        np.multiply(ce50, ratio, ratio)
+        np.subtract(ratio, ce_model, ratio)
+        _lp2_lanes(f2_x1, i_t, ratio, a2, pass2, tmp)
+        np.add(ce_model, i_t, err)
+        np.subtract(ce_ref, err, err)
 
-        proposed = integrator + ki * err * h
-        u_raw = kp * err + proposed
-        low, high = u_raw < 0.0, u_raw > u_max
+        # The PI law with conditional-integration anti-windup, clamped to [0, u_max].
+        np.multiply(kp, err, kp_err)
+        np.multiply(ki, err, proposed)
+        np.multiply(proposed, h_lanes, proposed)
+        np.add(integrator, proposed, proposed)
+        np.add(kp_err, proposed, u)
         # Integrating would push further into the active constraint: freeze.
-        freeze = (high & (err > 0.0)) | (low & (err < 0.0))
-        u_raw = np.where(freeze, kp * err + integrator, u_raw)
-        u = np.where(u_raw < 0.0, 0.0, np.where(u_raw > u_max, u_max, u_raw))
-        integrator = np.where(freeze, integrator, proposed)
+        np.greater(u, u_max, mask)
+        np.logical_and(mask, np.greater(err, zero, err_sign), mask)
+        np.less(u, zero, low)
+        np.logical_and(low, np.less(err, zero, err_sign), low)
+        np.logical_or(mask, low, mask)
+        np.add(kp_err, integrator, tmp)
+        np.copyto(u, tmp, where=mask)
+        np.copyto(proposed, integrator, where=mask)
+        integrator, proposed = proposed, integrator
+        np.less(u, zero, mask)
+        np.copyto(u, zero, where=mask)
+        np.greater(u, u_max, mask)
+        np.copyto(u, u_max, where=mask)
 
-        row = (t, bt, bm, bis_f, u, *s[:, :n_lanes], ce_model, f2[1], ce_ref)
-        for i, c in enumerate(picks):
-            out[step, i] = row[c]
-        s = (phi * s).sum(axis=1) + gamma * np.concatenate((u, u))
-        if not np.isfinite(s).all():
-            finite = np.isfinite(s).all(axis=0)
-            j = int(np.argmin(finite[:n_lanes] & finite[n_lanes:]))
-            prefix = f"step {step} (t={t:.4f} min): "
+        # Record the step, then advance plants and models under u.
+        frame.take(rows, 0, record, "clip")
+        np.copyto(u_model, u)
+        np.multiply(step_matrix, state_and_u, product)
+        np.add.reduce(product, axis=1, out=state)
+        if np.count_nonzero(np.isfinite(state, finite)) < finite.size:
+            lane_finite = finite.all(axis=0)
+            j = int(np.argmin(lane_finite[:n_lanes] & lane_finite[n_lanes:]))
+            prefix = f"step {step} (t={step * h:.4f} min): "
             try:
                 run_closed_loop(scenarios[j])
             except BisloopError as e:
@@ -298,7 +363,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
                     raise type(e)(f"{prefix}patient {patients[j].id}, tf2={cfgs[j].tf2:.6g} "
                                   f"min: {str(e)[len(prefix):]}") from e
             raise RuntimeError(f"lane {j} went non-finite at step {step}; run_closed_loop did not")
-        s = np.where(s < 0.0, 0.0, s)
+        np.copyto(state, state_zero, where=np.less(state, state_zero, finite))
+    for i, name in enumerate(names):
+        if name == "t":   # written once: t = step * h, as in the scalar loop
+            out[:, i] = (np.arange(n_steps) * h)[:, None]
     return out
 
 

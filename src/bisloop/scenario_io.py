@@ -197,31 +197,35 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     """Scenario back to its JSON-document form (defaults written explicitly).
 
     The patient is always written as an explicit object with its own preset,
-    so parse_scenario of the JSON text gives back an equal scenario.
+    so parse_scenario of the JSON text gives back an equal scenario.  Every
+    number but id, age and seed is written as a float, so equal scenarios
+    give one JSON text however their numbers were spelled.
     """
     p, cfg = scenario.patient, scenario.controller
     out: dict[str, Any] = {}
     out["patient"] = {
         "id": p.id, "age": p.demographics.age,
-        "height_cm": p.demographics.height_cm,
-        "weight_kg": p.demographics.weight_kg,
+        "height_cm": float(p.demographics.height_cm),
+        "weight_kg": float(p.demographics.weight_kg),
         "sex": p.demographics.sex.value,
-        "ce50": p.hill.ce50, "gamma": p.hill.gamma,
-        "e0": p.hill.e0, "emax": p.hill.emax,
+        "ce50": float(p.hill.ce50), "gamma": float(p.hill.gamma),
+        "e0": float(p.hill.e0), "emax": float(p.hill.emax),
     }
     out["pk_preset"] = p.pk_preset.value
     out["controller"] = {
-        "target_bis": cfg.target_bis, "tf1_min": cfg.tf1, "tf2_min": cfg.tf2,
-        "kp": cfg.kp, "ki": cfg.ki, "u_max_mg_min": cfg.u_max,
+        "target_bis": float(cfg.target_bis), "tf1_min": float(cfg.tf1),
+        "tf2_min": float(cfg.tf2), "kp": float(cfg.kp), "ki": float(cfg.ki),
+        "u_max_mg_min": float(cfg.u_max),
     }
     if cfg.nominal_e0 is not None:
-        out["controller"]["nominal_e0"] = cfg.nominal_e0
-    out["duration_min"] = scenario.duration
-    out["h_min"] = scenario.h
-    sigma = scenario.noise or 0.0   # a sigma of -0.0 is noise-free too
+        out["controller"]["nominal_e0"] = float(cfg.nominal_e0)
+    out["duration_min"] = float(scenario.duration)
+    out["h_min"] = float(scenario.h)
+    sigma = float(scenario.noise) or 0.0   # a sigma of -0.0 is noise-free too
     out["noise"] = {"kind": "gaussian" if sigma else "none", "sigma_bis": sigma}
     out["disturbance"] = [
-        {"start_min": p.start, "duration_min": p.duration, "amplitude_bis": p.amplitude}
+        {"start_min": float(p.start), "duration_min": float(p.duration),
+         "amplitude_bis": float(p.amplitude)}
         for p in scenario.disturbance
     ]
     out["seed"] = scenario.seed

@@ -10,7 +10,7 @@ from bisloop import (BisloopError, ControllerConfig, DisturbancePulse, HillParam
                      ModelError, Scenario, ScenarioError,
                      cohort_member, disturbance_at, noise_stream, run_closed_loop,
                      run_many, run_open_loop, tune_tf2)
-from bisloop.control import inverse_hill
+from bisloop.control import DEFAULT_TF2_MIN, inverse_hill
 from bisloop.engine import MAX_STEPS
 from bisloop.metrics import default_tuning_scenario, induction_time
 
@@ -348,6 +348,22 @@ class TestRunMany:
             return
         got = run_many(scenarios)
         assert [repr(asdict(t)) for t in got] == \
+            [repr(asdict(run_closed_loop(s))) for s in scenarios]
+
+    def test_passthrough_groups_equal_run_closed_loop(self):
+        # Three groups by duration: no lane with tf1 = 0 or tf2 = 0, every lane
+        # a passthrough on both filters, and a mix of the two.  Each group
+        # mixes noise-free and noisy lanes and two pulse profiles.
+        pulses = ((), (DisturbancePulse(0.5, 0.5, 10.0), DisturbancePulse(1.2, 0.3, -8.0)))
+        filters = {2.0: [(0.1, 0.2), (0.3, DEFAULT_TF2_MIN)] * 2,
+                   2.5: [(0.0, 0.0)] * 4,
+                   3.0: [(0.0, 0.2), (0.1, 0.0), (0.0, 0.0), (0.2, 0.5)]}
+        scenarios = [
+            Scenario(patient=1 + 3 * i, duration=duration, seed=7 + i,
+                     noise=(0.0, 2.0)[i % 2], disturbance=pulses[i // 2 % 2],
+                     controller=ControllerConfig(tf1=tf1, tf2=tf2))
+            for duration, lanes in filters.items() for i, (tf1, tf2) in enumerate(lanes)]
+        assert [repr(asdict(t)) for t in run_many(scenarios)] == \
             [repr(asdict(run_closed_loop(s))) for s in scenarios]
 
     def test_preserves_order_and_matches_serial(self):

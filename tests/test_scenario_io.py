@@ -192,6 +192,25 @@ class TestParseScenario:
     def test_round_trip_property(self, scenario):
         assert parse_scenario(json.dumps(scenario_to_dict(scenario))) == scenario
 
+    @pytest.mark.parametrize("ints, floats", [
+        (dict(duration=60), dict(duration=60.0)),
+        (dict(h=1, duration=30), dict(h=1.0, duration=30.0)),
+        (dict(noise=2), dict(noise=2.0)),
+        (dict(controller=ControllerConfig(kp=16)), dict()),
+        (dict(controller=ControllerConfig(target_bis=45, nominal_e0=91)),
+         dict(controller=ControllerConfig(target_bis=45.0, nominal_e0=91.0))),
+        (dict(disturbance=(DisturbancePulse(10, 2, -8),)),
+         dict(disturbance=(DisturbancePulse(10.0, 2.0, -8.0),))),
+        (dict(patient=VirtualPatient(5, Demographics(30, 190, 95, Sex.MALE),
+                                     HillParams(95, 90, 5, 2))),
+         dict(patient=VirtualPatient(5, Demographics(30, 190.0, 95.0, Sex.MALE),
+                                     HillParams(95.0, 90.0, 5.0, 2.0)))),
+    ], ids=["duration", "h", "noise", "kp", "target_and_nominal_e0", "pulse", "patient"])
+    def test_int_and_float_spellings_are_one_document(self, ints, floats):
+        a, b = Scenario(**ints), Scenario(**floats)
+        assert a == b
+        assert json.dumps(scenario_to_dict(a)) == json.dumps(scenario_to_dict(b))
+
     def test_cohort_id_is_its_member(self):
         assert Scenario(patient=7) == Scenario(patient=cohort_member(7))
 
