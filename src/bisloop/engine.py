@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -139,26 +140,63 @@ def resolve_controller(cfg: ControllerConfig, patient: VirtualPatient) -> Contro
     return cfg if cfg.nominal_e0 is not None else replace(cfg, nominal_e0=patient.hill.e0)
 
 
-def _run(patient: VirtualPatient, duration: float, h: float,
-         disturbance: Sequence[DisturbancePulse], noise: float, seed: int,
-         control: Callable[[float, float], tuple]) -> Trajectory:
-    """The step loop both runners share.
+# (start_min, rate) breakpoints of an open-loop run's infusion.
+InfusionProfile = Sequence[tuple[float, float]]
 
-    Each step measures BIS, asks control(t, measured_bis) for
-    (u, bis_filtered, ce_model, i_t, ce_ref), records the step, then
-    advances the plant under u held constant for the step.  Failures abort
-    the run with the failing step index attached.
-    """
-    n_steps = _step_count(duration, h)
+
+def _rate_at(profile: InfusionProfile, t: float) -> float:
+    """Piecewise-constant rate: last breakpoint at or before t wins."""
+    rate = 0.0
+    for start, r in profile:
+        if start <= t:
+            rate = r
+        else:
+            break
+    return rate
+
+
+def _offsets(noise: float, seed: int, n_steps: int) -> Iterable[float]:
     offsets = noise_stream(noise, seed, n_steps)
     # A noise-free run's offsets are all +0.0: repeated, not held as a list.
-    offsets = offsets.tolist() if offsets.any() else repeat(0.0, n_steps)
-    hill, advance = patient.hill, DiscretePk(patient.pk, h).step
-    state = ZERO_STATE
+    return offsets.tolist() if offsets.any() else repeat(0.0, n_steps)
+
+
+def _trajectory(values: list[float | None]) -> Trajectory:
     # Every step's values in TRAJECTORY_FIELDS order, in one flat list of
     # floats: per-step tuples kept alive would wake the cyclic GC.
+    n = len(TRAJECTORY_FIELDS)
+    return Trajectory(*(values[i::n] for i in range(n)))
+
+
+def _reference_run(patient: VirtualPatient, duration: float, h: float,
+                   disturbance: Sequence[DisturbancePulse], noise: float, seed: int,
+                   drive: ControllerConfig | InfusionProfile) -> Trajectory:
+    """The per-step reference loop, which _run and the lanes are pinned to.
+
+    Built from the model's own functions: hill_bis, disturbance_at, then
+    controller_step (lp2_step, inverse_hill, the PI law, DiscretePk.step on
+    the internal model) or _rate_at, then DiscretePk.step on the plant.
+    Each step measures BIS, records the step, then advances the plant under
+    u held constant for the step.  A failure raises its error with the
+    failing step index attached.  Runs take this loop only to explain a
+    failure; it is also the tests' oracle.
+    """
+    hill, advance = patient.hill, DiscretePk(patient.pk, h).step
+    if isinstance(drive, ControllerConfig):
+        cs = ControllerState.initial(drive, awake_bis=hill.e0)
+        model = DiscretePk(MODEL_PK, h)
+
+        def control(t: float, bm: float) -> tuple:
+            ce_model = cs.model_state.ce
+            u = controller_step(cs, drive, model, bm)
+            return u, cs.f1.x2, ce_model, cs.f2.x2, drive.ce_ref
+    else:
+        def control(t: float, bm: float) -> tuple:
+            return _rate_at(drive, t), None, None, None, None
+
+    state = ZERO_STATE
     values: list[float | None] = []
-    for k, offset in enumerate(offsets):
+    for k, offset in enumerate(_offsets(noise, seed, _step_count(duration, h))):
         t = k * h
         try:
             bt = hill_bis(state.ce, hill)
@@ -169,8 +207,141 @@ def _run(patient: VirtualPatient, duration: float, h: float,
             state = advance(state, u)
         except (ModelError, ControllerError) as e:
             raise type(e)(f"step {k} (t={t:.4f} min): {e}") from e
-    n = len(TRAJECTORY_FIELDS)
-    return Trajectory(*(values[i::n] for i in range(n)))
+    return _trajectory(values)
+
+
+def _run(patient: VirtualPatient, duration: float, h: float,
+         disturbance: Sequence[DisturbancePulse], noise: float, seed: int,
+         drive: ControllerConfig | InfusionProfile) -> Trajectory:
+    """The scalar step loop both runners share: _reference_run on local floats.
+
+    Every value of the loop is a local float: the plant's and the internal
+    model's c1, c2, c3, ce, both filters and the integrator.  What does not
+    change per step is computed once: phi and gamma unpacked, ce50 ** gamma,
+    the nominal curve's emax - e0 and 1/gamma, each filter's
+    1 - exp(-h/tf) (or passthrough at tf = 0), the gains and ce_ref.  The
+    pulse sum and the open-loop rate are re-read from disturbance_at and
+    _rate_at only at steps reaching one of their edges; in between they are
+    constant.  Each step repeats the reference's float operations in its
+    order, so the two agree bit for bit.  Open loop is the same loop with
+    the controller block off.
+
+    States no failure of its own: an out-of-domain reading inverts to NaN,
+    and one finiteness test per step covers what the reference tests: bt,
+    u (which a NaN reading makes NaN), the model and the plant state.  When
+    it fails, or ce ** gamma overflows, the reference re-runs and raises its
+    error.
+    """
+    hill = patient.hill
+    e0, emax, gamma, c50g = hill.e0, hill.emax, hill.gamma, hill.ce50 ** hill.gamma
+    plant = DiscretePk(patient.pk, h)
+    (p11, p12, p13, p14), (p21, p22, p23, p24), (p31, p32, p33, p34), \
+        (p41, p42, p43, p44) = plant.phi
+    g1, g2, g3, g4 = plant.gamma
+    edges = {p.start for p in disturbance} | {p.start + p.duration for p in disturbance}
+    closed = isinstance(drive, ControllerConfig)
+    if closed:
+        cfg, nominal = drive, drive.nominal
+        n_e0, n_emax_e0, n_ce50 = nominal.e0, nominal.emax - nominal.e0, nominal.ce50
+        inv_gamma = 1.0 / nominal.gamma
+        kp, ki, u_max, ce_ref = cfg.kp, cfg.ki, cfg.u_max, cfg.ce_ref
+        pass1, pass2 = cfg.tf1 == 0.0, cfg.tf2 == 0.0
+        a1 = 0.0 if pass1 else 1.0 - math.exp(-h / cfg.tf1)
+        a2 = 0.0 if pass2 else 1.0 - math.exp(-h / cfg.tf2)
+        model = DiscretePk(MODEL_PK, h)
+        (q11, q12, q13, q14), (q21, q22, q23, q24), (q31, q32, q33, q34), \
+            (q41, q42, q43, q44) = model.phi
+        k1, k2, k3, k4 = model.gamma
+        f1x1 = f1x2 = e0
+        f2x1 = f2x2 = integrator = m1 = m2 = m3 = m4 = 0.0
+    else:
+        bis_f = ce_model = i_t = ce_ref = None
+        edges.update(start for start, _ in drive)
+    edges = sorted(edges) + [math.inf]
+    edge = edges[0]
+    d = u = c1 = c2 = c3 = ce = 0.0
+    values: list[float | None] = []
+    try:
+        for k, offset in enumerate(_offsets(noise, seed, _step_count(duration, h))):
+            t = k * h
+            if t >= edge:
+                d = disturbance_at(disturbance, t)
+                if not closed:
+                    u = _rate_at(drive, t)
+                edge = edges[bisect_right(edges, t)]
+            if ce <= 0.0:
+                bt = e0
+            else:
+                x = ce ** gamma
+                bt = e0 - emax * x / (x + c50g)
+            bm = bt + d + offset
+            bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
+            if closed:
+                if pass1:
+                    f1x1 = f1x2 = bm
+                else:
+                    f1x1 += a1 * (bm - f1x1)
+                    f1x2 += a1 * (f1x1 - f1x2)
+                if f1x2 >= n_e0:
+                    ce_meas = 0.0
+                else:
+                    den = n_emax_e0 + f1x2
+                    ce_meas = (n_ce50 * ((n_e0 - f1x2) / den) ** inv_gamma if den > 0.0
+                               else math.nan)
+                w = ce_meas - m4
+                if pass2:
+                    f2x1 = f2x2 = w
+                else:
+                    f2x1 += a2 * (w - f2x1)
+                    f2x2 += a2 * (f2x1 - f2x2)
+                err = ce_ref - (m4 + f2x2)
+                proposed = integrator + ki * err * h
+                u = kp * err + proposed
+                if (u > u_max and err > 0.0) or (u < 0.0 and err < 0.0):
+                    u = kp * err + integrator
+                else:
+                    integrator = proposed
+                u = 0.0 if u < 0.0 else (u_max if u > u_max else u)
+                bis_f, ce_model, i_t = f1x2, m4, f2x2
+                y1 = q11 * m1 + q12 * m2 + q13 * m3 + q14 * m4 + k1 * u
+                y2 = q21 * m1 + q22 * m2 + q23 * m3 + q24 * m4 + k2 * u
+                y3 = q31 * m1 + q32 * m2 + q33 * m3 + q34 * m4 + k3 * u
+                y4 = q41 * m1 + q42 * m2 + q43 * m3 + q44 * m4 + k4 * u
+                # (v - v) is 0.0 for a finite v and NaN otherwise, so check
+                # is NaN when any value is not.  A NaN reading, which the
+                # reference rejects, makes u NaN.
+                check = (u - u) + (y1 - y1) + (y2 - y2) + (y3 - y3) + (y4 - y4)
+                m1 = 0.0 if y1 < 0.0 else y1
+                m2 = 0.0 if y2 < 0.0 else y2
+                m3 = 0.0 if y3 < 0.0 else y3
+                m4 = 0.0 if y4 < 0.0 else y4
+            else:
+                check = 0.0
+            values.extend((t, bt, bm, bis_f, u, c1, c2, c3, ce, ce_model, i_t, ce_ref))
+            x1 = p11 * c1 + p12 * c2 + p13 * c3 + p14 * ce + g1 * u
+            x2 = p21 * c1 + p22 * c2 + p23 * c3 + p24 * ce + g2 * u
+            x3 = p31 * c1 + p32 * c2 + p33 * c3 + p34 * ce + g3 * u
+            x4 = p41 * c1 + p42 * c2 + p43 * c3 + p44 * ce + g4 * u
+            check += (bt - bt) + (x1 - x1) + (x2 - x2) + (x3 - x3) + (x4 - x4)
+            if check != check:
+                break
+            c1 = 0.0 if x1 < 0.0 else x1
+            c2 = 0.0 if x2 < 0.0 else x2
+            c3 = 0.0 if x3 < 0.0 else x3
+            ce = 0.0 if x4 < 0.0 else x4
+        else:
+            return _trajectory(values)
+    except OverflowError:
+        pass
+    _reference_run(patient, duration, h, disturbance, noise, seed, drive)
+    raise RuntimeError(f"the scalar loop failed at step {k}; its reference did not")
+
+
+def _closed_loop(scenario: Scenario, loop: Callable[..., Trajectory]) -> Trajectory:
+    """scenario through loop (_run or _reference_run), its controller resolved."""
+    patient = scenario.patient
+    return loop(patient, scenario.duration, scenario.h, scenario.disturbance, scenario.noise,
+                scenario.seed, resolve_controller(scenario.controller, patient))
 
 
 def run_closed_loop(scenario: Scenario) -> Trajectory:
@@ -181,19 +352,7 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     constant for the step.  Controller or integration failures abort the
     run with the failing step index attached.
     """
-    patient = scenario.patient
-    cfg = resolve_controller(scenario.controller, patient)
-    cs = ControllerState.initial(cfg, awake_bis=patient.hill.e0)
-    model = DiscretePk(MODEL_PK, scenario.h)
-    ce_ref = cfg.ce_ref
-
-    def control(t: float, bm: float) -> tuple:
-        ce_model = cs.model_state.ce
-        u = controller_step(cs, cfg, model, bm)
-        return u, cs.f1.x2, ce_model, cs.f2.x2, ce_ref
-
-    return _run(patient, scenario.duration, scenario.h, scenario.disturbance, scenario.noise,
-                scenario.seed, control)
+    return _closed_loop(scenario, _run)
 
 
 def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a: np.ndarray,
@@ -228,9 +387,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     equals run_closed_loop(scenarios[j]) bit for bit: each step repeats the
     scalar loop's arithmetic in its order, powers by np.float_power (the libm
     pow that float.__pow__ calls), and the plants and internal models advance
-    by one DiscretePk step over 2L columns.  A lane's state turns non-finite
-    in the step where its scalar loop fails; the first such lane re-runs
-    run_closed_loop and raises its error at that step, naming the lane.
+    by one DiscretePk step over 2L columns.  A lane's BIS or state turns
+    non-finite in the step where its scalar loop fails; the first such lane
+    re-runs the per-step reference (_reference_run) and raises its error at
+    that step, naming the lane.
 
     Each step is a fixed sequence of ufunc calls writing into buffers built
     once per run: every signal lives in one frame, which also holds the
@@ -289,7 +449,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     f2_x1, integrator, proposed, x, tmp, den, ratio, err, kp_err = np.zeros((9, n_lanes))
     mask, low, err_sign = np.empty((3, n_lanes), dtype=bool)
     state_zero, product = np.zeros_like(state), np.empty_like(step_matrix)
-    finite = np.empty(state.shape, dtype=bool)
+    # The finiteness test covers bt and the signals up to the state, lanes
+    # as columns.
+    checked = frame[1:14]
+    finite, negative = np.empty(checked.shape, dtype=bool), np.empty(state.shape, dtype=bool)
     rows = np.array([_FRAME_ROWS.index(name) for name in names])
 
     out = np.empty((n_steps, len(rows), n_lanes))
@@ -352,36 +515,21 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
         np.copyto(u_model, u)
         np.multiply(step_matrix, state_and_u, product)
         np.add.reduce(product, axis=1, out=state)
-        if np.count_nonzero(np.isfinite(state, finite)) < finite.size:
-            lane_finite = finite.all(axis=0)
-            j = int(np.argmin(lane_finite[:n_lanes] & lane_finite[n_lanes:]))
+        if np.count_nonzero(np.isfinite(checked, finite)) < finite.size:
+            j = int(np.argmin(finite.all(axis=0)))
             prefix = f"step {step} (t={step * h:.4f} min): "
             try:
-                run_closed_loop(scenarios[j])
+                _closed_loop(scenarios[j], _reference_run)
             except BisloopError as e:
                 if str(e).startswith(prefix):
                     raise type(e)(f"{prefix}patient {patients[j].id}, tf2={cfgs[j].tf2:.6g} "
                                   f"min: {str(e)[len(prefix):]}") from e
-            raise RuntimeError(f"lane {j} went non-finite at step {step}; run_closed_loop did not")
-        np.copyto(state, state_zero, where=np.less(state, state_zero, finite))
+            raise RuntimeError(f"lane {j} went non-finite at step {step}; its reference did not")
+        np.copyto(state, state_zero, where=np.less(state, state_zero, negative))
     for i, name in enumerate(names):
         if name == "t":   # written once: t = step * h, as in the scalar loop
             out[:, i] = (np.arange(n_steps) * h)[:, None]
     return out
-
-
-InfusionProfile = Sequence[tuple[float, float]]
-
-
-def _rate_at(profile: InfusionProfile, t: float) -> float:
-    """Piecewise-constant rate: last breakpoint at or before t wins."""
-    rate = 0.0
-    for start, r in profile:
-        if start <= t:
-            rate = r
-        else:
-            break
-    return rate
 
 
 def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
@@ -405,8 +553,7 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     if not all(abs(s) <= sys.float_info.max for s in starts) or starts != sorted(starts):
         raise ScenarioError(f"breakpoint starts must be finite and non-decreasing, got {starts}")
     profile = tuple((float(s), float(r)) for s, r in profile)
-    return _run(patient, duration, h, disturbance, noise, seed,
-                lambda t, bm: (_rate_at(profile, t), None, None, None, None))
+    return _run(patient, duration, h, disturbance, noise, seed, profile)
 
 
 def run_many(scenarios: Iterable[Scenario]) -> list[Trajectory]:

@@ -202,17 +202,20 @@ def hill_bis(ce: float, hill: HillParams) -> float:
 
     Returns the raw sigmoid value e0 - emax*ce^g/(ce^g + ce50^g), which can
     leave [0, 100] when emax > e0; clamping to the monitor range is a
-    sensor-stage concern, not a model one.  A ce ** gamma beyond the float
-    range raises ModelError.
+    sensor-stage concern, not a model one.  A result that is not finite
+    raises ModelError: ce ** gamma beyond the float range, or emax * x or
+    x + ce50 ** gamma overflowing (-inf or NaN).
     """
     if ce <= 0.0:
         return hill.e0
     try:
         x = ce ** hill.gamma
+        bis = hill.e0 - hill.emax * x / (x + hill.ce50 ** hill.gamma)
     except OverflowError:
-        raise ModelError(f"Hill curve overflows: ce={ce:.6g} mg/L, "
-                         f"gamma={hill.gamma:.6g}") from None
-    return hill.e0 - hill.emax * x / (x + hill.ce50 ** hill.gamma)
+        bis = math.inf
+    if not math.isfinite(bis):
+        raise ModelError(f"Hill curve overflows: ce={ce:.6g} mg/L, gamma={hill.gamma:.6g}")
+    return bis
 
 
 class PatientState(NamedTuple):

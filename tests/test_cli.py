@@ -14,6 +14,12 @@ from bisloop.scenario_io import TRAJECTORY_CSV_HEADER
 # The first bolus drives ce ** gamma beyond the float range at step 1.
 HILL_OVERFLOW = {"patient_id": 13, "duration_min": 1,
                  "controller": {"u_max_mg_min": 1e300, "kp": 1e300, "nominal_e0": 93.1}}
+# ce ** gamma stays finite, but emax * ce ** gamma overflows: the Hill curve
+# reads -inf from step 130 on.
+HILL_NON_FINITE = {"patient": {"id": 5, "age": 38, "height_cm": 169, "weight_kg": 65, "sex": "F",
+                               "ce50": 1.0, "gamma": 2.0, "e0": 95.0, "emax": 94.0},
+                   "duration_min": 5,
+                   "controller": {"kp": 1e300, "u_max_mg_min": 1e156, "nominal_e0": 80.0}}
 P13 = {"id": 13, "age": 38, "height_cm": 169, "weight_kg": 65, "sex": "F",
        "ce50": 7.42, "gamma": 2, "e0": 93.1, "emax": 96.58}
 
@@ -100,6 +106,11 @@ class TestSimulate:
         assert main(["simulate", "--scenario", scenario_file(HILL_OVERFLOW)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: step 1 (t=0.0167 min): Hill curve overflows: ce=")
+
+    def test_non_finite_hill_curve_exits_3(self, scenario_file, capsys):
+        assert main(["simulate", "--scenario", scenario_file(HILL_NON_FINITE)]) == 3
+        assert capsys.readouterr().err == ("error: step 130 (t=2.1667 min): Hill curve overflows: "
+                                           "ce=1.38427e+153 mg/L, gamma=2\n")
 
     @pytest.mark.parametrize("patient", [{"ce50": 1e200}, {"ce50": 1e-200}, {"age": 10**400}])
     def test_patient_beyond_the_float_range_exits_2(self, scenario_file, capsys, patient):

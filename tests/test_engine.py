@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisloop import (BisloopError, ControllerConfig, DisturbancePulse, HillParams,
-                     ModelError, Scenario, ScenarioError,
+from bisloop import (BisloopError, ControllerConfig, Demographics, DisturbancePulse, HillParams,
+                     ModelError, Scenario, ScenarioError, Sex, VirtualPatient,
                      cohort_member, disturbance_at, noise_stream, run_closed_loop,
                      run_many, run_open_loop, tune_tf2)
+from bisloop import engine
 from bisloop.control import DEFAULT_TF2_MIN, inverse_hill
 from bisloop.engine import MAX_STEPS
 from bisloop.metrics import default_tuning_scenario, induction_time
@@ -117,8 +118,8 @@ class TestClosedLoop:
             run_closed_loop(s)
 
     def test_target_inverted_once_per_run(self, monkeypatch):
-        # one inverse_hill call per step for the filtered reading, plus one for
-        # the target concentration, which the ce_ref column records
+        # inverse_hill is called once, for the target concentration, which the
+        # ce_ref column records; the loop inverts each reading inline
         from bisloop import control
         calls = []
 
@@ -129,8 +130,7 @@ class TestClosedLoop:
         monkeypatch.setattr(control, "inverse_hill", counted)
         traj = run_closed_loop(Scenario(patient=13, duration=1.0))
         assert len(traj) == 60
-        assert len(calls) == 61
-        assert calls.count(50.0) == 1
+        assert calls == [50.0]
         assert set(traj.ce_ref) == {inverse_hill(50.0, ControllerConfig(nominal_e0=93.1).nominal)}
 
     def test_time_axis_strictly_increasing(self, p13_nominal_traj):
@@ -299,11 +299,18 @@ def _scenarios(durations):
 # Runs that fail, one per way a run can fail once it has started.  At h = 5
 # min the filtered BIS of patient 13 reaches 0 at step 1, below the nominal
 # curve's reach; at kp = u_max = 1e300 the first bolus drives ce ** gamma
-# beyond the float range at step 1.
+# beyond the float range at step 1.  On the last patient ce ** gamma stays
+# finite but emax * ce ** gamma overflows at step 130: the curve reads -inf.
+HILL_NON_FINITE_PATIENT = VirtualPatient(
+    5, Demographics(age=38, height_cm=169.0, weight_kg=65.0, sex=Sex.FEMALE),
+    HillParams(e0=95.0, emax=94.0, ce50=1.0, gamma=2.0))
 FAILING = {
     "out_of_domain": replace(default_tuning_scenario(), h=5.0),
     "hill_overflow": Scenario(patient=13, duration=1.0,
                               controller=ControllerConfig(kp=1e300, u_max=1e300)),
+    "hill_non_finite": Scenario(patient=HILL_NON_FINITE_PATIENT, duration=5.0,
+                                controller=ControllerConfig(kp=1e300, u_max=1e156,
+                                                            nominal_e0=80.0)),
 }
 
 
@@ -374,6 +381,76 @@ class TestRunMany:
             assert a.u == b.u
 
 
+def _reference(scenario):
+    """scenario through the per-step reference loop."""
+    return engine._closed_loop(scenario, engine._reference_run)
+
+
+def _outcome(run, *args):
+    """repr(asdict) of a run's trajectory, or its error's type and message."""
+    try:
+        return repr(asdict(run(*args)))
+    except BisloopError as e:
+        return type(e), str(e)
+
+
+# Short steps, passthrough filters, a pump that saturates, noise and pulses.
+KERNEL_CONTROLLERS = st.builds(
+    ControllerConfig, target_bis=st.floats(30.0, 70.0),
+    tf1=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    tf2=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), kp=st.floats(0.0, 40.0),
+    ki=st.floats(0.0, 10.0), u_max=st.one_of(st.just(200.0), st.floats(0.5, 30.0)),
+    nominal_e0=st.one_of(st.none(), st.floats(80.0, 100.0)))
+STEPS = st.one_of(st.just(1.0 / 60.0), st.floats(0.002, 0.1))
+BREAKPOINTS = st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-1.0, 2.0)),
+                                 st.floats(0.0, 300.0)), max_size=5).map(sorted).map(tuple)
+
+
+class TestScalarKernel:
+    """run_closed_loop and run_open_loop equal the per-step reference loop:
+    every column bit for bit, or the same error type and message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=st.builds(Scenario, patient=st.integers(1, 13), controller=KERNEL_CONTROLLERS,
+                              duration=st.floats(0.1, 2.0), h=STEPS, noise=st.floats(0.0, 8.0),
+                              disturbance=PULSES, seed=st.integers(0, 2**32)))
+    def test_closed_loop_equals_reference(self, scenario):
+        assert _outcome(run_closed_loop, scenario) == _outcome(_reference, scenario)
+
+    @settings(max_examples=60, deadline=None)
+    @given(patient=st.integers(1, 13).map(cohort_member),
+           profile=st.one_of(BREAKPOINTS, st.floats(0.0, 300.0)), duration=st.floats(0.1, 2.0),
+           h=STEPS, noise=st.floats(0.0, 8.0), disturbance=PULSES, seed=st.integers(0, 2**32))
+    def test_open_loop_equals_reference(self, patient, profile, duration, h, noise,
+                                        disturbance, seed):
+        breakpoints = ((0.0, profile),) if isinstance(profile, float) else profile
+        assert _outcome(run_open_loop, patient, profile, duration, h, noise, disturbance, seed) \
+            == _outcome(engine._reference_run, patient, duration, h, disturbance, noise, seed,
+                        breakpoints)
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_failing_closed_loop_raises_the_reference_error(self, kind):
+        got = _outcome(run_closed_loop, FAILING[kind])
+        assert got == _outcome(_reference, FAILING[kind])
+        assert isinstance(got, tuple)
+
+    @pytest.mark.parametrize("patient, rate", [(cohort_member(13), 1e300),
+                                               (HILL_NON_FINITE_PATIENT, 1e156)])
+    def test_failing_open_loop_raises_the_reference_error(self, patient, rate):
+        got = _outcome(run_open_loop, patient, rate, 5.0)
+        assert got == _outcome(engine._reference_run, patient, 5.0, 1.0 / 60.0, (), 0.0, 0,
+                               ((0.0, rate),))
+        assert got[0] is ModelError and "Hill curve overflows" in got[1]
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_a_failure_the_reference_does_not_share_is_a_runtime_error(self, kind, monkeypatch):
+        # the loop detects each failing case itself, then asks the reference
+        monkeypatch.setattr(engine, "_reference_run", lambda *args: None)
+        with pytest.raises(RuntimeError, match=r"the scalar loop failed at step \d+; "
+                                               r"its reference did not"):
+            run_closed_loop(FAILING[kind])
+
+
 def _scalar_error(scenario):
     """run_closed_loop's error type, step prefix and message body."""
     with pytest.raises(BisloopError) as info:
@@ -396,7 +473,7 @@ class TestFailureParity:
             run_many([_runs_through(failing), failing])
         assert type(info.value) is exc_type
         assert str(info.value) == \
-            f"{prefix}: patient 13, tf2={failing.controller.tf2:.6g} min: {body}"
+            f"{prefix}: patient {failing.patient.id}, tf2={failing.controller.tf2:.6g} min: {body}"
 
     @pytest.mark.parametrize("kind", FAILING)
     def test_tune_tf2(self, kind):

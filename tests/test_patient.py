@@ -263,6 +263,16 @@ class TestHillBis:
         with pytest.raises(ModelError, match=r"^Hill curve overflows: ce=1e\+200 mg/L, gamma=3$"):
             hill_bis(1e200, P13_HILL)
 
+    @pytest.mark.parametrize("ce50, value", [(1.0, "-inf"), (1e154, "nan")])
+    def test_non_finite_result_raises_model_error(self, ce50, value):
+        # ce ** gamma = 1e308 is finite; emax * x overflows, and with it
+        # x + ce50 ** gamma when ce50 = 1e154, giving -inf and NaN
+        hill = HillParams(e0=95.0, emax=94.0, ce50=ce50, gamma=2.0)
+        raw = 95.0 - 94.0 * 1e308 / (1e308 + ce50 ** 2.0)
+        assert repr(raw) == value
+        with pytest.raises(ModelError, match=r"^Hill curve overflows: ce=1e\+154 mg/L, gamma=2$"):
+            hill_bis(1e154, hill)
+
     @given(st.floats(0.5, 20), st.floats(0.5, 6), st.floats(50, 100), st.floats(10, 120))
     def test_monotone_decreasing(self, ce50, gamma, e0, emax):
         hill = HillParams(e0=e0, emax=emax, ce50=ce50, gamma=gamma)
