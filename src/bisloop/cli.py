@@ -46,9 +46,8 @@ def _bis_plot(traj) -> str:
     series = [
         ("BIS true", traj.t, traj.bis_true),
         ("BIS measured", traj.t, traj.bis_measured),
+        ("BIS filtered", traj.t, traj.bis_filtered),
     ]
-    if traj.bis_filtered and traj.bis_filtered[0] is not None:
-        series.append(("BIS filtered", traj.t, traj.bis_filtered))
     return render_svg_plot(series, x_label="time [min]", y_label="BIS",
                            y_range=(0.0, 100.0))
 
@@ -95,7 +94,10 @@ def _parse_grid(spec: str) -> list[float]:
         raise ScenarioError(f"--grid expects finite A, B and STEP, got {spec!r}")
     if step <= 0 or hi < lo:
         raise ScenarioError(f"--grid expects A <= B and STEP > 0, got {spec!r}")
-    n = int((hi - lo) / step + 1e-9) + 1
+    count = (hi - lo) / step
+    if not math.isfinite(count):
+        raise ScenarioError(f"--grid expects a finite point count (B - A) / STEP, got {spec!r}")
+    n = int(count + 1e-9) + 1
     return [lo + i * step for i in range(n)]
 
 
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patient", type=int, required=True)
     p.add_argument("--rate", type=float, required=True, help="mg/min")
     p.add_argument("--duration", type=float, required=True, help="min")
-    p.add_argument("--h", type=float, default=1.0 / 60.0)
+    p.add_argument("--h", type=float, default=Scenario.h)
     p.add_argument("--preset", default=PkPreset.SCHNIDER_CORRECTED.value,
                    choices=[x.value for x in PkPreset])
     p.add_argument("--out", default=None)

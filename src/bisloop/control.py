@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import ControllerError
 from .patient import (Demographics, DiscretePk, HillParams, PatientState, PkPreset, Sex,
@@ -103,12 +102,13 @@ class ControllerConfig:
 
     nominal_e0 is the measured awake BIS of the nominal curve; None resolves
     it per run to the patient's own e0.  nominal, the curve itself, is the
-    population curve at that e0, derived once at construction (None while
-    nominal_e0 is).  An e0 outside (0, 100] raises ModelError.  A gain or
-    filter constant that is negative or not finite, a u_max that is not
-    finite and positive, or a target_bis that is not finite raises
-    ControllerError; so does, once nominal_e0 is set, a target_bis outside
-    (0, e0) or below the nominal curve's reach e0 - emax.
+    population curve at that e0, and ce_ref, the concentration the loop
+    tracks, is that curve's inverse at target_bis (mg/L); both are derived
+    at construction (None while nominal_e0 is).  An e0 outside (0, 100]
+    raises ModelError.  A gain or filter constant that is negative or not
+    finite, a u_max that is not finite and positive, or a target_bis that is
+    not finite raises ControllerError; so does, once nominal_e0 is set, a
+    target_bis outside (0, e0) or below the nominal curve's reach e0 - emax.
     """
 
     target_bis: float = 50.0
@@ -119,6 +119,7 @@ class ControllerConfig:
     u_max: float = 200.0              # pump limit [mg/min]
     nominal_e0: float | None = None   # awake BIS of the nominal curve
     nominal: HillParams | None = field(init=False)
+    ce_ref: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("tf1", "tf2", "kp", "ki"):
@@ -130,23 +131,20 @@ class ControllerConfig:
         if not abs(self.target_bis) <= sys.float_info.max:
             raise ControllerError(f"target_bis must be finite, got {self.target_bis}")
         e0 = self.nominal_e0
-        object.__setattr__(self, "nominal", None if e0 is None else HillParams(
-            e0, POPULATION_EMAX, POPULATION_CE50, POPULATION_GAMMA))
-        if e0 is None:
-            return
-        if not (0 < self.target_bis < e0):
-            raise ControllerError(f"target_bis must lie in (0, e0={e0}), got {self.target_bis}")
-        # inverse_hill's domain test, so an accepted target always inverts.
-        if POPULATION_EMAX - e0 + self.target_bis <= 0.0:
-            raise ControllerError(
-                f"target_bis={self.target_bis} is below the nominal curve's reach "
-                f"e0 - emax = {e0} - {POPULATION_EMAX}")
-
-    @cached_property
-    def ce_ref(self) -> float:
-        """The concentration the loop tracks: the nominal curve's inverse at
-        target_bis (mg/L), computed once.  Construction ensures it exists."""
-        return inverse_hill(self.target_bis, self.nominal)
+        nominal = ce_ref = None
+        if e0 is not None:
+            nominal = HillParams(e0, POPULATION_EMAX, POPULATION_CE50, POPULATION_GAMMA)
+            if not (0 < self.target_bis < e0):
+                raise ControllerError(
+                    f"target_bis must lie in (0, e0={e0}), got {self.target_bis}")
+            try:
+                ce_ref = inverse_hill(self.target_bis, nominal)
+            except ControllerError:
+                raise ControllerError(
+                    f"target_bis={self.target_bis} is below the nominal curve's reach "
+                    f"e0 - emax = {e0} - {POPULATION_EMAX}") from None
+        object.__setattr__(self, "nominal", nominal)
+        object.__setattr__(self, "ce_ref", ce_ref)
 
 
 @dataclass

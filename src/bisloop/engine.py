@@ -18,8 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .control import (MODEL_PK, POPULATION_CE50, POPULATION_EMAX, POPULATION_GAMMA,
-                      ControllerConfig, ControllerState, controller_step)
+from .control import MODEL_PK, ControllerConfig, ControllerState, controller_step
 from .errors import BisloopError, ControllerError, ModelError, ScenarioError
 from .patient import (AVERAGE_PATIENT_ID, DiscretePk, VirtualPatient, ZERO_STATE, cohort_member,
                       hill_bis)
@@ -161,6 +160,11 @@ def _offsets(noise: float, seed: int, n_steps: int) -> Iterable[float]:
     return offsets.tolist() if offsets.any() else repeat(0.0, n_steps)
 
 
+def _failure_prefix(k: int, h: float) -> str:
+    """What a run's error at step k starts with."""
+    return f"step {k} (t={k * h:.4f} min): "
+
+
 def _trajectory(values: list[float | None]) -> Trajectory:
     # Every step's values in TRAJECTORY_FIELDS order, in one flat list of
     # floats: per-step tuples kept alive would wake the cyclic GC.
@@ -206,7 +210,7 @@ def _reference_run(patient: VirtualPatient, duration: float, h: float,
             values.extend((t, bt, bm, bis_f, u, *state, ce_model, i_t, ce_ref))
             state = advance(state, u)
         except (ModelError, ControllerError) as e:
-            raise type(e)(f"step {k} (t={t:.4f} min): {e}") from e
+            raise type(e)(f"{_failure_prefix(k, h)}{e}") from e
     return _trajectory(values)
 
 
@@ -217,14 +221,14 @@ def _run(patient: VirtualPatient, duration: float, h: float,
 
     Every value of the loop is a local float: the plant's and the internal
     model's c1, c2, c3, ce, both filters and the integrator.  What does not
-    change per step is computed once: phi and gamma unpacked, ce50 ** gamma,
-    the nominal curve's emax - e0 and 1/gamma, each filter's
-    1 - exp(-h/tf) (or passthrough at tf = 0), the gains and ce_ref.  The
-    pulse sum and the open-loop rate are re-read from disturbance_at and
-    _rate_at only at steps reaching one of their edges; in between they are
-    constant.  Each step repeats the reference's float operations in its
-    order, so the two agree bit for bit.  Open loop is the same loop with
-    the controller block off.
+    change per step is computed once: phi and gamma unpacked, the nominal
+    curve's emax - e0 and 1/gamma, each filter's 1 - exp(-h/tf) (or
+    passthrough at tf = 0), the gains and ce_ref.  The pulse sum and the
+    open-loop rate are re-read from disturbance_at and _rate_at only at
+    steps reaching one of their edges; in between they are constant.  Each
+    step repeats the reference's float operations in its order, so the two
+    agree bit for bit.  Open loop is the same loop with the controller block
+    off.
 
     States no failure of its own: an out-of-domain reading inverts to NaN,
     and one finiteness test per step covers what the reference tests: bt,
@@ -233,7 +237,7 @@ def _run(patient: VirtualPatient, duration: float, h: float,
     error.
     """
     hill = patient.hill
-    e0, emax, gamma, c50g = hill.e0, hill.emax, hill.gamma, hill.ce50 ** hill.gamma
+    e0, emax, gamma, c50g = hill.e0, hill.emax, hill.gamma, hill.c50g
     plant = DiscretePk(patient.pk, h)
     (p11, p12, p13, p14), (p21, p22, p23, p24), (p31, p32, p33, p34), \
         (p41, p42, p43, p44) = plant.phi
@@ -407,15 +411,13 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     def lanes(objs, keys: str) -> list[np.ndarray]:
         return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
 
-    p_e0, p_emax, p_ce50, p_gamma = lanes([p.hill for p in patients], "e0 emax ce50 gamma")
-    e0, kp, ki, u_max, tf1, tf2 = lanes(cfgs, "nominal_e0 kp ki u_max tf1 tf2")
-    p_c50g = np.float_power(p_ce50, p_gamma)
+    p_e0, p_emax, p_c50g, p_gamma = lanes([p.hill for p in patients], "e0 emax c50g gamma")
+    e0, emax, ce50, gamma = lanes([c.nominal for c in cfgs], "e0 emax ce50 gamma")
+    kp, ki, u_max, tf1, tf2 = lanes(cfgs, "kp ki u_max tf1 tf2")
     # inverse_hill's den is (emax - e0) + bis; its first sum is per lane.
-    emax_e0 = POPULATION_EMAX - e0
+    emax_e0, inv_gamma = emax - e0, 1.0 / gamma
     # Constants as lane arrays: a ufunc takes an array operand faster than a float.
-    zero, hundred, nan, h_lanes, ce50, inv_gamma = (
-        np.full(n_lanes, v) for v in (0.0, 100.0, np.nan, h, POPULATION_CE50,
-                                       1.0 / POPULATION_GAMMA))
+    zero, hundred, nan, h_lanes = (np.full(n_lanes, v) for v in (0.0, 100.0, np.nan, h))
     a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
               for tf in (tf1, tf2))
     pass1, pass2 = (tf == 0.0 if (tf == 0.0).any() else None for tf in (tf1, tf2))
@@ -442,7 +444,6 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     state_and_u = frame[6:].reshape(5, 2 * n_lanes)
     state = state_and_u[:4]
     ce, ce_model, u, u_model = frame[12:]
-    # Each resolved config checked its target against its e0, so each one inverts.
     ce_ref[:] = [c.ce_ref for c in cfgs]
     bis_f[:] = p_e0
     f1_x1 = p_e0.copy()
@@ -517,7 +518,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
         np.add.reduce(product, axis=1, out=state)
         if np.count_nonzero(np.isfinite(checked, finite)) < finite.size:
             j = int(np.argmin(finite.all(axis=0)))
-            prefix = f"step {step} (t={step * h:.4f} min): "
+            prefix = _failure_prefix(step, h)
             try:
                 _closed_loop(scenarios[j], _reference_run)
             except BisloopError as e:
@@ -533,10 +534,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
 
 
 def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
-                  duration: float, h: float = 1.0 / 60.0,
+                  duration: float, h: float = Scenario.h,
                   noise: float = 0.0,
                   disturbance: Sequence[DisturbancePulse] = (),
-                  seed: int = 0) -> Trajectory:
+                  seed: int = Scenario.seed) -> Trajectory:
     """Simulate a prescribed piecewise-constant infusion (no controller).
 
     profile is either a single constant rate in mg/min or a sequence of

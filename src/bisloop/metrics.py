@@ -22,25 +22,12 @@ INDUCTION_BAND = 5.0
 INDUCTION_HOLD_MIN = 1.0
 
 
-def _signal(traj: Trajectory, name: str) -> list[float]:
-    try:
-        values = getattr(traj, name)
-    except AttributeError:
-        raise ValueError(f"unknown trajectory signal {name!r}") from None
-    if values and values[0] is None:
-        raise ValueError(f"signal {name!r} was not recorded on this run")
-    return values
-
-
-def iae(traj: Trajectory, target_bis: float, signal: str = "bis_true") -> float:
-    """Integrated absolute BIS error (BIS*min), trapezoidal on the run grid.
-
-    signal selects the channel; the drug-effect channel (bis_true) is the
-    noise-free default.
-    """
+def iae(traj: Trajectory, target_bis: float) -> float:
+    """Integrated absolute error (BIS*min) of the drug-effect BIS (bis_true),
+    trapezoidal on the run grid."""
     if len(traj) == 0:
         raise ValueError("trajectory is empty")
-    return _trapezoid_iae(traj.t, _signal(traj, signal), target_bis)
+    return _trapezoid_iae(traj.t, traj.bis_true, target_bis)
 
 
 def _trapezoid_iae(ts, ys, target_bis: float):
@@ -163,26 +150,21 @@ def default_tuning_scenario() -> Scenario:
     )
 
 
-# The trajectory channels tune_tf2 can score.
-LANE_CHANNELS = ("bis_true", "bis_measured", "bis_filtered")
-
-
 def tune_tf2(grid: list[float], threshold: float = 0.30,
              cohort: list[VirtualPatient] | None = None,
              template: Scenario | None = None,
-             signal: str = "bis_measured",
              workers: int | None = 1) -> SweepResult:
     """Sweep the innovation filter time constant and pick the largest value
     whose worst-case cohort degradation stays within the budget.
 
     The baseline is the same scenario with the filter removed (tf2 = 0).
-    The IAE channel defaults to the measured BIS, which on the noise-free
-    tuning scenario is the patient's apparent depth including the arousal
-    pulse; bis_true and bis_filtered can be scored too.  Every (tf2,
-    patient) run of the sweep is one lane of _closed_loop_lanes, bit-identical
-    to run_closed_loop.  workers is ignored; it stays because the benchmark
-    under perfbench/ still passes workers=1.  Raises TuningError (carrying
-    the full curve) when no grid point meets the threshold.
+    The IAE is scored on the measured BIS, which on the noise-free tuning
+    scenario is the patient's apparent depth including the arousal pulse.
+    Every (tf2, patient) run of the sweep is one lane of _closed_loop_lanes,
+    bit-identical to run_closed_loop.  workers is ignored; it stays because
+    the benchmark under perfbench/ still passes workers=1.  Raises
+    TuningError (carrying the full curve) when no grid point meets the
+    threshold.
     """
     if not grid:
         raise ValueError("grid must be non-empty")
@@ -191,8 +173,6 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
         raise ValueError("grid must be strictly increasing")
     if any(g < 0 for g in grid):
         raise ValueError("grid values must be >= 0")
-    if signal not in LANE_CHANNELS:
-        raise ValueError(f"tuning scores one of {LANE_CHANNELS}, got {signal!r}")
     cohort = cohort if cohort is not None else builtin_cohort()
     if not cohort:
         raise ValueError("cohort must be non-empty")
@@ -209,7 +189,7 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     runs = [replace(template, patient=p, noise=0.0,
                     controller=replace(template.controller, tf2=tf2, nominal_e0=None))
             for tf2 in settings for p in cohort]
-    ys = _closed_loop_lanes(runs, (signal,))[:, 0]
+    ys = _closed_loop_lanes(runs, ("bis_measured",))[:, 0]
     ts = [k * template.h for k in range(template.n_steps)]
     iaes = _trapezoid_iae(ts, ys, template.controller.target_bis).tolist()
     n = len(cohort)

@@ -173,12 +173,17 @@ def derive_pk_params(demo: Demographics,
 
 @dataclass(frozen=True)
 class HillParams:
-    """Sigmoid concentration-effect parameters mapping Ce to BIS."""
+    """Sigmoid concentration-effect parameters mapping Ce to BIS.
+
+    c50g, ce50 ** gamma, is derived once at construction, and every
+    evaluation of the curve reads it.
+    """
 
     e0: float      # awake baseline BIS
     emax: float    # maximal BIS depression
     ce50: float    # mg/L at half effect
     gamma: float   # curve steepness
+    c50g: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.e0 <= 100:
@@ -186,7 +191,7 @@ class HillParams:
         for name in ("emax", "ce50", "gamma"):
             if not 0 < getattr(self, name) <= sys.float_info.max:
                 raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        # hill_bis and the lanes divide by ce ** gamma + ce50 ** gamma, whose
+        # hill_bis and both step loops divide by ce ** gamma + c50g, whose
         # second term may neither overflow nor underflow to 0.
         try:
             c50g = self.ce50 ** self.gamma
@@ -195,6 +200,7 @@ class HillParams:
         if not 0.0 < c50g <= sys.float_info.max:
             raise ModelError(f"ce50 ** gamma must be a positive finite float, got "
                              f"ce50={self.ce50}, gamma={self.gamma}")
+        object.__setattr__(self, "c50g", c50g)
 
 
 def hill_bis(ce: float, hill: HillParams) -> float:
@@ -204,13 +210,13 @@ def hill_bis(ce: float, hill: HillParams) -> float:
     leave [0, 100] when emax > e0; clamping to the monitor range is a
     sensor-stage concern, not a model one.  A result that is not finite
     raises ModelError: ce ** gamma beyond the float range, or emax * x or
-    x + ce50 ** gamma overflowing (-inf or NaN).
+    x + c50g overflowing (-inf or NaN).
     """
     if ce <= 0.0:
         return hill.e0
     try:
         x = ce ** hill.gamma
-        bis = hill.e0 - hill.emax * x / (x + hill.ce50 ** hill.gamma)
+        bis = hill.e0 - hill.emax * x / (x + hill.c50g)
     except OverflowError:
         bis = math.inf
     if not math.isfinite(bis):

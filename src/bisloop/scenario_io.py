@@ -168,7 +168,7 @@ def parse_scenario(text: str) -> Scenario:
     if "patient" in raw:
         patient = _parse_patient(raw["patient"], preset)
     else:
-        patient_id = _integer(raw, "patient_id", "scenario", 13)
+        patient_id = _integer(raw, "patient_id", "scenario", Scenario.patient)
         if not 1 <= patient_id <= 13:
             raise ScenarioError(f"patient_id: unknown patient id {patient_id} "
                                 "(cohort has 1-13)")
@@ -178,15 +178,15 @@ def parse_scenario(text: str) -> Scenario:
         else ControllerConfig()
     noise = _parse_noise(raw["noise"]) if "noise" in raw else 0.0
     disturbance = _parse_disturbance(raw["disturbance"]) if "disturbance" in raw else ()
-    seed = _integer(raw, "seed", "scenario", 0)
+    seed = _integer(raw, "seed", "scenario", Scenario.seed)
     if seed < 0:
         raise ScenarioError(f"scenario.seed: must be >= 0, got {seed}")
 
     return Scenario(
         patient=patient,
         controller=controller,
-        duration=_number(raw, "duration_min", "scenario", 60.0, positive=True),
-        h=_number(raw, "h_min", "scenario", 1.0 / 60.0, positive=True),
+        duration=_number(raw, "duration_min", "scenario", Scenario.duration, positive=True),
+        h=_number(raw, "h_min", "scenario", Scenario.h, positive=True),
         noise=noise,
         disturbance=disturbance,
         seed=seed,

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bisloop
 from bisloop.cli import main
@@ -166,6 +169,102 @@ class TestOpenLoopCommand:
         assert "must be" in capsys.readouterr().err
 
 
+# Any JSON value a scenario key may meet: every JSON type, and numbers at and
+# beyond the float range, NaN and the infinities (json reads NaN and Infinity).
+ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.floats(), st.integers(),
+    st.sampled_from([10**400, -10**400, 2**64, 5e-324, 1.7976931348623157e308]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(),
+                                                         max_size=1))
+# A time value the parser or Scenario rejects whatever the other one is.
+BAD_TIME = st.one_of(ANY_VALUE.filter(lambda v: not (isinstance(v, (int, float))
+                                                     and not isinstance(v, bool) and v > 0)),
+                     st.sampled_from([math.inf, 10**400]))
+ABSENT = object()
+# Every document that runs runs at most this many steps (the default 60 min
+# at the default 1-s step); the others are rejected before their first step.
+MAX_DOC_STEPS = 3600
+
+
+@st.composite
+def _entries(draw, spec: dict, absent: int = 15) -> dict:
+    """An object with each key of spec absent (absent in 50), any JSON value
+    (1 in 50) or else drawn from its strategy."""
+    out = {}
+    for key, plausible in spec.items():
+        roll = draw(st.integers(0, 49))
+        if roll >= absent:
+            out[key] = draw(plausible if roll < 49 else ANY_VALUE)
+    return out
+
+
+@st.composite
+def _run_window(draw) -> dict:
+    """h_min and duration_min: a run of at most MAX_DOC_STEPS steps, a run
+    beyond MAX_STEPS, or a rejected value; each may be absent (a default)."""
+    kind = draw(st.sampled_from(["runs"] * 4 + ["over_budget", "bad"]))
+    if kind == "runs":
+        h = draw(st.one_of(st.just(ABSENT), st.floats(1e-3, 30.0)))
+        h_eff = 1 / 60 if h is ABSENT else h
+        steps = st.floats(0.0, MAX_DOC_STEPS).map(lambda k: k * h_eff)
+        duration = draw(st.one_of(st.just(ABSENT), steps) if h_eff >= 1 / 60 else steps)
+    elif kind == "over_budget":
+        h = draw(st.floats(5e-324, 1e-6))
+        duration = draw(st.one_of(st.just(ABSENT), st.floats(60.0, 1e308)))
+    else:
+        h, duration = draw(st.one_of(
+            st.tuples(BAD_TIME, st.one_of(st.just(ABSENT), st.floats(0.0, 60.0), ANY_VALUE)),
+            st.tuples(st.one_of(st.just(ABSENT), st.floats(1e-3, 30.0), ANY_VALUE), BAD_TIME)))
+    return {k: v for k, v in (("h_min", h), ("duration_min", duration)) if v is not ABSENT}
+
+
+_PATIENT = _entries({
+    "id": st.integers(0, 20), "age": st.integers(1, 100), "height_cm": st.floats(150.0, 200.0),
+    "weight_kg": st.floats(40.0, 120.0),
+    "sex": st.sampled_from(["F", "M", "female", "male", "F", "M", "x"]),
+    "ce50": st.floats(0.5, 20.0), "gamma": st.floats(0.5, 8.0), "e0": st.floats(50.0, 100.0),
+    "emax": st.floats(10.0, 160.0)}, absent=0)
+_CONTROLLER = _entries({
+    "target_bis": st.one_of(st.floats(30.0, 70.0), st.floats(0.0, 100.0)),
+    "tf1_min": st.floats(0.0, 2.0), "tf2_min": st.floats(0.0, 20.0),
+    "kp": st.one_of(st.floats(0.0, 100.0), st.floats(0.0)), "ki": st.floats(0.0, 20.0),
+    "u_max_mg_min": st.one_of(st.floats(1.0, 1000.0), st.floats(0.0)),
+    "nominal_e0": st.floats(50.0, 100.0)})
+_NOISE = _entries({"kind": st.sampled_from(["none", "gaussian", "gaussian", "GAUSSIAN", "pink"]),
+                   "sigma_bis": st.one_of(st.floats(0.0, 20.0), st.floats(0.0))})
+_PULSE = _entries({"start_min": st.floats(0.0, 60.0), "duration_min": st.floats(0.0, 10.0),
+                   "amplitude_bis": st.floats(-200.0, 200.0)}, absent=0)
+
+
+@st.composite
+def scenario_documents(draw) -> dict:
+    """A scenario document, valid or not, that runs at most MAX_DOC_STEPS steps."""
+    doc = draw(_entries({
+        "pk_preset": st.sampled_from(["schnider_corrected"] * 8 + ["as_published", "bogus"]),
+        "controller": _CONTROLLER, "noise": _NOISE,
+        "disturbance": st.lists(_PULSE, max_size=3), "seed": st.integers(-1, 2**64)}))
+    # One of the two ways to name a patient, neither, or (rejected) both.
+    for key in draw(st.sampled_from([("patient_id",)] * 3 + [("patient",)] * 3 + [()] * 2
+                                    + [("patient_id", "patient")])):
+        doc[key] = draw(st.one_of(st.integers(1, 13), st.integers()) if key == "patient_id"
+                        else _PATIENT)
+    return {**doc, **draw(_run_window())}
+
+
+class TestAnyDocument:
+    """Any scenario document either runs or fails with its documented exit
+    code, never with exit 1 or an uncaught error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=scenario_documents())
+    def test_simulate_exits_0_2_3_or_4(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "any_document.json"
+        path.write_text(json.dumps(doc))
+        plot = tmp_path_factory.getbasetemp() / "any_document.svg"
+        assert main(["simulate", "--scenario", str(path), "--out", os.devnull,
+                     "--plot", str(plot)]) in (0, 2, 3, 4)
+
+
 class TestCohortCommand:
     def test_metrics_table(self, scenario_file, tmp_path):
         path = scenario_file({"duration_min": 10})
@@ -219,6 +318,13 @@ class TestTuneCommand:
         for spec in ("nope", "0:inf:1", "nan:1:0.1", "0:1:nan", "0:1:inf"):
             assert main(["tune-tf2", "--grid", spec]) == 2, spec
             assert "--grid expects" in capsys.readouterr().err
+
+    def test_grid_without_a_finite_point_count_exits_2(self, capsys):
+        # (B - A) / STEP overflows to inf
+        assert main(["tune-tf2", "--grid", "0:1e308:1e-308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid expects a finite point count")
+        assert err.count("\n") == 1
 
     def test_controller_failure_in_a_lane_exits_4(self, scenario_file, capsys):
         path = scenario_file({"duration_min": 30, "h_min": 5.0})

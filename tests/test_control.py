@@ -215,6 +215,18 @@ class TestControllerStep:
         ControllerConfig(target_bis=target, nominal_e0=93.1)
         assert inverse_hill(target, NOMINAL_P13) > 0.0
 
+    def test_ce_ref_derived_at_construction(self):
+        # None until the nominal e0 is known; replace() derives it again
+        assert ControllerConfig().ce_ref is None
+        cfg = ControllerConfig(nominal_e0=93.1)
+        assert cfg.ce_ref == inverse_hill(50.0, NOMINAL_P13)
+        moved = replace(cfg, nominal_e0=90.0)
+        assert moved.ce_ref == inverse_hill(50.0, moved.nominal) != cfg.ce_ref
+        assert replace(cfg, target_bis=40.0).ce_ref == inverse_hill(40.0, NOMINAL_P13)
+        # it takes no part in == or repr
+        assert "ce_ref" not in repr(cfg)
+        assert cfg == ControllerConfig(nominal_e0=93.1)
+
     @pytest.mark.parametrize("e0", [math.nan, 120.0])
     def test_nominal_e0_outside_the_monitor_range_rejected(self, e0):
         # the nominal curve is a HillParams, so its e0 must lie in (0, 100]

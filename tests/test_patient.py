@@ -273,6 +273,16 @@ class TestHillBis:
         with pytest.raises(ModelError, match=r"^Hill curve overflows: ce=1e\+154 mg/L, gamma=2$"):
             hill_bis(1e154, hill)
 
+    def test_c50g_is_derived_and_not_a_field_of_the_curve(self):
+        # c50g is ce50 ** gamma, kept from validation; it takes no part in
+        # ==, repr or hash, so a curve is still its four numbers
+        assert P13_HILL.c50g == 7.42 ** 3.00
+        assert P13_HILL == HillParams(e0=93.1, emax=96.58, ce50=7.42, gamma=3.0)
+        assert repr(P13_HILL) == "HillParams(e0=93.1, emax=96.58, ce50=7.42, gamma=3.0)"
+        assert hash(P13_HILL) == hash((93.1, 96.58, 7.42, 3.0))
+        with pytest.raises(TypeError):
+            HillParams(e0=93.1, emax=96.58, ce50=7.42, gamma=3.0, c50g=1.0)
+
     @given(st.floats(0.5, 20), st.floats(0.5, 6), st.floats(50, 100), st.floats(10, 120))
     def test_monotone_decreasing(self, ce50, gamma, e0, emax):
         hill = HillParams(e0=e0, emax=emax, ce50=ce50, gamma=gamma)

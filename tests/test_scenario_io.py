@@ -75,6 +75,7 @@ class TestParseScenario:
     def test_empty_document_is_all_defaults(self):
         s = parse_scenario("{}")
         assert s.patient.id == 13
+        assert s == Scenario()
 
     def test_noise_free_spellings_are_one_scenario(self):
         # kind "none" is sigma 0 whatever its sigma_bis, so every noise-free
