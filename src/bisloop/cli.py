@@ -102,6 +102,9 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_tune_tf2(args) -> int:
+    # NaN, or -inf, which no degradation ratio meets: refused before the sweep.
+    if not args.threshold > -math.inf:
+        raise ScenarioError(f"--threshold expects a number above -inf, got {args.threshold}")
     template = _read_scenario(args.scenario) if args.scenario else None
     result = tune_tf2(_parse_grid(args.grid), threshold=args.threshold,
                       template=template)
@@ -118,6 +121,8 @@ def cmd_tune_tf2(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    if args.points < 2:
+        raise ScenarioError(f"--points expects at least 2, got {args.points}")
     if args.patient == "all":
         patients = builtin_cohort()
     else:

@@ -10,6 +10,7 @@ seed.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
@@ -163,6 +164,18 @@ def _offsets(noise: float, seed: int, n_steps: int) -> Iterable[float]:
 def _failure_prefix(k: int, h: float) -> str:
     """What a run's error at step k starts with."""
     return f"step {k} (t={k * h:.4f} min): "
+
+
+# What _failure_prefix writes.
+_STEP_PREFIX = re.compile(r"step \d+ \(t=\d+\.\d{4} min\): ")
+
+
+def _named(e: BisloopError, scenario: Scenario) -> BisloopError:
+    """e, raised at a step of scenario's run, with the run named after its
+    step prefix: 'patient <id>, tf2=<tf2> min: '."""
+    prefix = _STEP_PREFIX.match(str(e))[0]
+    return type(e)(f"{prefix}patient {scenario.patient.id}, "
+                   f"tf2={scenario.controller.tf2:.6g} min: {str(e)[len(prefix):]}")
 
 
 def _trajectory(values: list[float | None]) -> Trajectory:
@@ -375,34 +388,27 @@ def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a: np.ndarray,
         np.copyto(x2, w, where=passthrough)
 
 
-# The rows of the lane kernel's frame: the loop signals, then the plant state
-# c1, c2, c3, ce and the rate u, each as a patient row and a model row.
-_FRAME_ROWS = ("t", "bis_true", "bis_measured", "bis_filtered", "i_t", "ce_ref",
-               "c1", "c1_model", "c2", "c2_model", "c3", "c3_model",
-               "ce_true", "ce_model", "u", "u_model")
-
-
 @np.errstate(all="ignore")   # a failing lane's inf and NaN warn nothing
-def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> np.ndarray:
-    """run_closed_loop on L scenarios at once: the named TRAJECTORY_FIELDS,
-    shape (n_steps, len(names), L).
+def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
+    """run_closed_loop on L noise-free scenarios at once: bis_measured, shape
+    (n_steps, L).
 
-    The scenarios share h and the step count; all else is per lane.  Lane j
-    equals run_closed_loop(scenarios[j]) bit for bit: each step repeats the
-    scalar loop's arithmetic in its order, powers by np.float_power (the libm
-    pow that float.__pow__ calls), and the plants and internal models advance
-    by one DiscretePk step over 2L columns.  A lane's BIS or state turns
-    non-finite in the step where its scalar loop fails; the first such lane
-    re-runs the per-step reference (_reference_run) and raises its error at
-    that step, naming the lane.
+    The scenarios share h, the step count and the disturbance profile, and
+    have noise 0, as the tuning sweep builds them; patient and controller
+    are per lane.  Lane j equals run_closed_loop(scenarios[j]) bit for bit:
+    each step repeats the scalar loop's arithmetic in its order, powers by
+    np.float_power (the libm pow that float.__pow__ calls), and the plants
+    and internal models advance by one DiscretePk step over 2L columns.  A
+    lane's BIS or state turns non-finite in the step where its scalar loop
+    fails; the first such lane re-runs the per-step reference
+    (_reference_run) and raises its error at that step, naming the lane.
 
     Each step is a fixed sequence of ufunc calls writing into buffers built
-    once per run: every signal lives in one frame, which also holds the
-    plant state in place, and a step records the named rows with one take.
-    What does not change per step is decided once: the per-lane pulse sums
-    and constants, and whether a filter has passthrough lanes to overwrite.
-    The noise table starts as zeros and only noisy lanes write their column,
-    so a noise-free run never makes its pages resident.
+    once per run: the other signals live in one frame, which also holds the
+    plant state in place, and each step computes its measured BIS in its own
+    row of the output.  What does not change per step is decided once: the
+    pulse sum of each step, the per-lane constants, and whether a filter has
+    passthrough lanes to overwrite.
     """
     n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
     patients = [s.patient for s in scenarios]
@@ -413,10 +419,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
 
     p_e0, p_emax, p_c50g, p_gamma = lanes([p.hill for p in patients], "e0 emax c50g gamma")
     e0, emax, ce50, gamma = lanes([c.nominal for c in cfgs], "e0 emax ce50 gamma")
-    kp, ki, u_max, tf1, tf2 = lanes(cfgs, "kp ki u_max tf1 tf2")
+    kp, ki, u_max, tf1, tf2, ce_ref = lanes(cfgs, "kp ki u_max tf1 tf2 ce_ref")
     # inverse_hill's den is (emax - e0) + bis; its first sum is per lane.
     emax_e0, inv_gamma = emax - e0, 1.0 / gamma
-    # Constants as lane arrays: a ufunc takes an array operand faster than a float.
+    # Constants as lane arrays: a ufunc runs faster on an array operand than a float.
     zero, hundred, nan, h_lanes = (np.full(n_lanes, v) for v in (0.0, 100.0, np.nan, h))
     a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
               for tf in (tf1, tf2))
@@ -430,34 +436,29 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
     step_matrix = np.stack([np.column_stack((models[pk].phi, models[pk].gamma))
                             for pk in pks], axis=-1)                  # (4, 5, 2L)
 
-    # Each lane's pulse sum and noise offset per step.
-    profiles = {d: i for i, d in enumerate(dict.fromkeys(s.disturbance for s in scenarios))}
-    pulses = np.array([[disturbance_at(d, k * h) for d in profiles] for k in range(n_steps)])
-    pulses = pulses[:, [profiles[s.disturbance] for s in scenarios]]
-    noise = np.zeros((n_steps, n_lanes))
-    for j, s in enumerate(scenarios):
-        if s.noise:
-            noise[:, j] = noise_stream(s.noise, s.seed, n_steps)
+    # Every lane's pulse sum at each step, as a row broadcast over the lanes.
+    profile = scenarios[0].disturbance
+    pulses = np.array([[disturbance_at(profile, k * h)] for k in range(n_steps)])
 
-    frame = np.zeros((len(_FRAME_ROWS), n_lanes))
-    _, bt, bm, bis_f, i_t, ce_ref = frame[:6]
-    state_and_u = frame[6:].reshape(5, 2 * n_lanes)
+    # The frame's rows: bt, the two filter outputs, then the plant state c1,
+    # c2, c3, ce and the rate u, each as a patient row and a model row.
+    frame = np.zeros((13, n_lanes))
+    bt, bis_f, i_t = frame[:3]
+    state_and_u = frame[3:].reshape(5, 2 * n_lanes)
     state = state_and_u[:4]
-    ce, ce_model, u, u_model = frame[12:]
-    ce_ref[:] = [c.ce_ref for c in cfgs]
+    ce, ce_model, u, u_model = frame[9:]
     bis_f[:] = p_e0
     f1_x1 = p_e0.copy()
     f2_x1, integrator, proposed, x, tmp, den, ratio, err, kp_err = np.zeros((9, n_lanes))
     mask, low, err_sign = np.empty((3, n_lanes), dtype=bool)
     state_zero, product = np.zeros_like(state), np.empty_like(step_matrix)
-    # The finiteness test covers bt and the signals up to the state, lanes
-    # as columns.
-    checked = frame[1:14]
+    # The finiteness test covers bt, the filter outputs and the state, lanes
+    # as columns; a non-finite reading or u shows in them within the step.
+    checked = frame[:11]
     finite, negative = np.empty(checked.shape, dtype=bool), np.empty(state.shape, dtype=bool)
-    rows = np.array([_FRAME_ROWS.index(name) for name in names])
 
-    out = np.empty((n_steps, len(rows), n_lanes))
-    for step, (record, pulse, offset) in enumerate(zip(out, pulses, noise)):
+    out = np.empty((n_steps, n_lanes))
+    for step, (bm, pulse) in enumerate(zip(out, pulses)):
         # The patient's BIS and the monitor's reading of it.  At ce = 0 this
         # gives e0 exactly, as hill_bis's ce <= 0 branch does.
         np.float_power(ce, p_gamma, x)
@@ -466,7 +467,6 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
         np.divide(x, tmp, x)
         np.subtract(p_e0, x, bt)
         np.add(bt, pulse, bm)
-        np.add(bm, offset, bm)
         np.less(bm, zero, mask)
         np.copyto(bm, zero, where=mask)
         np.greater(bm, hundred, mask)
@@ -511,8 +511,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
         np.greater(u, u_max, mask)
         np.copyto(u, u_max, where=mask)
 
-        # Record the step, then advance plants and models under u.
-        frame.take(rows, 0, record, "clip")
+        # Advance plants and models under u.
         np.copyto(u_model, u)
         np.multiply(step_matrix, state_and_u, product)
         np.add.reduce(product, axis=1, out=state)
@@ -523,13 +522,9 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario], names: Sequence[str]) -> n
                 _closed_loop(scenarios[j], _reference_run)
             except BisloopError as e:
                 if str(e).startswith(prefix):
-                    raise type(e)(f"{prefix}patient {patients[j].id}, tf2={cfgs[j].tf2:.6g} "
-                                  f"min: {str(e)[len(prefix):]}") from e
+                    raise _named(e, scenarios[j]) from e
             raise RuntimeError(f"lane {j} went non-finite at step {step}; its reference did not")
         np.copyto(state, state_zero, where=np.less(state, state_zero, negative))
-    for i, name in enumerate(names):
-        if name == "t":   # written once: t = step * h, as in the scalar loop
-            out[:, i] = (np.arange(n_steps) * h)[:, None]
     return out
 
 
@@ -560,23 +555,15 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
 def run_many(scenarios: Iterable[Scenario]) -> list[Trajectory]:
     """run_closed_loop on every scenario, in input order.
 
-    Scenarios sharing h and the step count run together as the lanes of
-    _closed_loop_lanes, bit-identical to run_closed_loop; a scenario alone
-    in its group runs the scalar loop, which is faster for one lane.  Groups
-    run in order of first appearance, so a failure raises what the first
-    failing group raises.
+    The first scenario that fails raises its error, with 'patient <id>,
+    tf2=<tf2> min: ' after the step prefix.
     """
-    scenarios = list(scenarios)
-    groups: dict[tuple[float, int], list[int]] = {}
-    for i, s in enumerate(scenarios):
-        groups.setdefault((s.h, s.n_steps), []).append(i)
-    out: list[Trajectory] = [None] * len(scenarios)
-    for members in groups.values():
-        if len(members) == 1:
-            for i in members:
-                out[i] = run_closed_loop(scenarios[i])
-            continue
-        lanes = _closed_loop_lanes([scenarios[i] for i in members], TRAJECTORY_FIELDS)
-        for j, i in enumerate(members):
-            out[i] = Trajectory(*(lanes[:, f, j].tolist() for f in range(lanes.shape[1])))
+    out = []
+    for scenario in scenarios:
+        try:
+            out.append(run_closed_loop(scenario))
+        except BisloopError as e:
+            if _STEP_PREFIX.match(str(e)):
+                raise _named(e, scenario) from e
+            raise
     return out

@@ -51,10 +51,14 @@ def induction_time(traj: Trajectory, target_bis: float) -> float | None:
     afterwards until the end of the run.  Returns None when the band is
     never held.
     """
+    i = _settling_index(traj, target_bis)
+    return None if i is None else traj.t[i]
+
+
+def _settling_index(traj: Trajectory, target_bis: float) -> int | None:
+    """The step at which induction_time's band is first held, or None."""
     ys, ts, band = traj.bis_true, traj.t, INDUCTION_BAND
     n = len(ts)
-    if n == 0:
-        return None
     lo, hi = target_bis - band, target_bis + band
     lo2, hi2 = target_bis - 2 * band, target_bis + 2 * band
     # suffix[i]: every sample from i on stays inside the 2*band corridor
@@ -72,7 +76,7 @@ def induction_time(traj: Trajectory, target_bis: float) -> float | None:
         while j < n and ts[j] <= end and lo <= ys[j] <= hi:
             j += 1
         if j >= n or ts[j] > end:
-            return ts[i]
+            return i
     return None
 
 
@@ -90,15 +94,13 @@ class MetricsReport:
 def summarize(traj: Trajectory, target_bis: float) -> MetricsReport:
     """The run's headline numbers, all scored on the drug-effect BIS."""
     ys = traj.bis_true
-    t_ind = induction_time(traj, target_bis)
-    min_post = None
-    for y, t in zip(ys, traj.t):
-        if t_ind is not None and t >= t_ind:
-            min_post = y if min_post is None else min(min_post, y)
+    # t rises strictly, so the steps from the settling index on are those
+    # at or after the induction time.
+    i = _settling_index(traj, target_bis)
     return MetricsReport(
         iae=iae(traj, target_bis),
-        induction_time=t_ind,
-        min_bis_post_crossing=min_post,
+        induction_time=None if i is None else traj.t[i],
+        min_bis_post_crossing=None if i is None else min(ys[i:]),
         steady_state_error=abs(ys[-1] - target_bis),
         max_u=max(traj.u),
     )
@@ -189,7 +191,7 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     runs = [replace(template, patient=p, noise=0.0,
                     controller=replace(template.controller, tf2=tf2, nominal_e0=None))
             for tf2 in settings for p in cohort]
-    ys = _closed_loop_lanes(runs, ("bis_measured",))[:, 0]
+    ys = _closed_loop_lanes(runs)
     ts = [k * template.h for k in range(template.n_steps)]
     iaes = _trapezoid_iae(ts, ys, template.controller.target_bis).tolist()
     n = len(cohort)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bisloop
+from bisloop import cli
 from bisloop.cli import main
 from bisloop.scenario_io import TRAJECTORY_CSV_HEADER
 
@@ -338,6 +339,14 @@ class TestTuneCommand:
         assert main(["tune-tf2", "--grid", "0.5:0.5:0.5", "--scenario", path]) == 2
         assert f"h={h} min, duration=30.0 min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "-inf"])
+    def test_threshold_no_ratio_meets_exits_2_before_the_sweep(self, capsys, monkeypatch,
+                                                                threshold):
+        monkeypatch.setattr(cli, "tune_tf2", None)   # any sweep would raise TypeError
+        assert main(["tune-tf2", "--grid", "0.25:0.25:0.25", f"--threshold={threshold}"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --threshold expects a number above -inf, got {threshold}\n"
+
     def test_infeasible_threshold(self, capsys):
         rc = main(["tune-tf2", "--grid", "5:5:1", "--threshold", "0.000001"])
         assert rc == 1
@@ -368,6 +377,11 @@ class TestCurveCommand:
     def test_ce_max_overflowing_the_hill_curve_exits_3(self, capsys):
         assert main(["curve", "--patient", "13", "--ce-max", "1e200"]) == 3
         assert "Hill curve overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_fewer_than_two_points_exits_2(self, capsys, points):
+        assert main(["curve", "--patient", "13", "--points", points]) == 2
+        assert capsys.readouterr().err == f"error: --points expects at least 2, got {points}\n"
 
     @pytest.mark.parametrize("ce_max", ["nan", "inf"])
     def test_non_finite_ce_max_exits_1(self, capsys, ce_max):

@@ -276,10 +276,8 @@ class TestStepSizeSensitivity:
         assert max(late) < 2e-2
 
 
-# One run_many input: every per-lane setting varies.  Durations of 1 and 1.5
-# min form the shared groups; the scenario drawn separately runs 0.75 min,
-# alone in its group.  A deep negative pulse can pin the monitor at 0, where
-# the nominal curve has no preimage, so some inputs fail.
+# Every run setting varies.  A deep negative pulse can pin the monitor at 0,
+# where the nominal curve has no preimage, so some inputs fail.
 PULSES = st.lists(st.builds(DisturbancePulse, st.floats(0.0, 1.5), st.floats(0.05, 1.0),
                             st.floats(-100.0, 30.0)), max_size=2).map(tuple)
 CONTROLLERS = st.builds(
@@ -287,13 +285,9 @@ CONTROLLERS = st.builds(
     tf2=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), kp=st.floats(0.0, 40.0),
     ki=st.floats(0.0, 10.0),
     nominal_e0=st.one_of(st.none(), st.floats(80.0, 100.0)))
-
-
-def _scenarios(durations):
-    return st.builds(Scenario, patient=st.integers(1, 13), controller=CONTROLLERS,
-                     duration=durations,
-                     noise=st.floats(0.0, 8.0),
-                     disturbance=PULSES, seed=st.integers(0, 2**32))
+SCENARIOS = st.builds(Scenario, patient=st.integers(1, 13), controller=CONTROLLERS,
+                      duration=st.sampled_from([0.75, 1.0, 1.5]), noise=st.floats(0.0, 8.0),
+                      disturbance=PULSES, seed=st.integers(0, 2**32))
 
 
 # Runs that fail, one per way a run can fail once it has started.  At h = 5
@@ -333,45 +327,29 @@ def _failure(scenario):
 
 class TestRunMany:
     @settings(max_examples=30)
-    @example(shared=[_runs_through(FAILING["out_of_domain"]), FAILING["out_of_domain"]],
-             single=Scenario(patient=2, duration=0.75), at=0)
-    @example(shared=[_runs_through(FAILING["hill_overflow"]), FAILING["hill_overflow"]],
-             single=Scenario(patient=2, duration=0.75), at=2)
-    @given(shared=st.lists(_scenarios(st.sampled_from([1.0, 1.5])), min_size=2, max_size=6),
-           single=_scenarios(st.just(0.75)), at=st.integers(0, 6))
-    def test_equals_run_closed_loop_bit_for_bit(self, shared, single, at):
-        scenarios = shared[:at] + [single] + shared[at:]
-        failures = [_failure(s) for s in scenarios]
-        if any(failures):
-            # Groups run in order of first appearance; the first group with a
-            # failure raises the type of its earliest-step failure.
-            groups = {}
-            for s, f in zip(scenarios, failures):
-                groups.setdefault((s.h, s.n_steps), []).append(f)
-            first = min((f for f in next(g for g in groups.values() if any(g)) if f),
-                        key=lambda f: f[0])
-            with pytest.raises(first[1]):
+    @example(scenarios=[_runs_through(FAILING["out_of_domain"]), FAILING["out_of_domain"]])
+    @example(scenarios=[_runs_through(FAILING["hill_overflow"]), FAILING["hill_overflow"]])
+    @given(scenarios=st.lists(SCENARIOS, min_size=1, max_size=6))
+    def test_equals_run_closed_loop_bit_for_bit(self, scenarios):
+        # The first failing scenario in input order raises its error, named.
+        failing = next((s for s in scenarios if _failure(s)), None)
+        if failing is not None:
+            with pytest.raises(BisloopError) as info:
                 run_many(scenarios)
+            assert (type(info.value), str(info.value)) == _named_error(failing)
             return
-        got = run_many(scenarios)
-        assert [repr(asdict(t)) for t in got] == \
-            [repr(asdict(run_closed_loop(s))) for s in scenarios]
-
-    def test_passthrough_groups_equal_run_closed_loop(self):
-        # Three groups by duration: no lane with tf1 = 0 or tf2 = 0, every lane
-        # a passthrough on both filters, and a mix of the two.  Each group
-        # mixes noise-free and noisy lanes and two pulse profiles.
-        pulses = ((), (DisturbancePulse(0.5, 0.5, 10.0), DisturbancePulse(1.2, 0.3, -8.0)))
-        filters = {2.0: [(0.1, 0.2), (0.3, DEFAULT_TF2_MIN)] * 2,
-                   2.5: [(0.0, 0.0)] * 4,
-                   3.0: [(0.0, 0.2), (0.1, 0.0), (0.0, 0.0), (0.2, 0.5)]}
-        scenarios = [
-            Scenario(patient=1 + 3 * i, duration=duration, seed=7 + i,
-                     noise=(0.0, 2.0)[i % 2], disturbance=pulses[i // 2 % 2],
-                     controller=ControllerConfig(tf1=tf1, tf2=tf2))
-            for duration, lanes in filters.items() for i, (tf1, tf2) in enumerate(lanes)]
         assert [repr(asdict(t)) for t in run_many(scenarios)] == \
             [repr(asdict(run_closed_loop(s))) for s in scenarios]
+
+    def test_first_failing_scenario_in_input_order_raises(self):
+        # At one duration: a fails at step 130, b at step 1, and a comes first.
+        a = FAILING["hill_non_finite"]
+        b = replace(FAILING["hill_overflow"], duration=a.duration)
+        assert _failure(a)[0] > _failure(b)[0]
+        with pytest.raises(ModelError) as info:
+            run_many([a, b])
+        assert str(info.value) == _named_error(a)[1]
+        assert ": patient 5, " in str(info.value)
 
     def test_preserves_order_and_matches_serial(self):
         scenarios = [Scenario(patient=i, duration=1.0) for i in (1, 5, 13)]
@@ -451,6 +429,50 @@ class TestScalarKernel:
             run_closed_loop(FAILING[kind])
 
 
+# One _closed_loop_lanes input: noise-free scenarios that share h, the step
+# count and one pulse profile, each with its own patient and controller.
+LANE_SCENARIOS = st.tuples(st.floats(0.1, 2.0), STEPS, PULSES).flatmap(
+    lambda shared: st.lists(st.builds(
+        Scenario, patient=st.integers(1, 13), controller=KERNEL_CONTROLLERS,
+        duration=st.just(shared[0]), h=st.just(shared[1]), disturbance=st.just(shared[2])),
+        min_size=1, max_size=6))
+
+
+class TestLanes:
+    """Each lane's bis_measured equals run_closed_loop's bit for bit; a failing
+    lane raises run_closed_loop's error, named."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(scenarios=[_runs_through(FAILING["out_of_domain"]), FAILING["out_of_domain"]])
+    @example(scenarios=[_runs_through(FAILING["hill_overflow"]), FAILING["hill_overflow"]])
+    @given(scenarios=LANE_SCENARIOS)
+    def test_equals_run_closed_loop_bit_for_bit(self, scenarios):
+        failures = [(f[0], j) for j, f in enumerate(map(_failure, scenarios)) if f]
+        if failures:
+            # The earliest step fails first; at one step, the first lane.
+            _, j = min(failures)
+            with pytest.raises(BisloopError) as info:
+                engine._closed_loop_lanes(scenarios)
+            assert (type(info.value), str(info.value)) == _named_error(scenarios[j])
+            return
+        lanes = engine._closed_loop_lanes(scenarios)
+        assert [repr(column) for column in lanes.T.tolist()] == \
+            [repr(run_closed_loop(s).bis_measured) for s in scenarios]
+
+    def test_passthrough_lanes_equal_run_closed_loop(self):
+        # Three calls: no lane with tf1 = 0 or tf2 = 0, every lane a
+        # passthrough on both filters, and a mix of the two.
+        pulses = (DisturbancePulse(0.5, 0.5, 10.0), DisturbancePulse(1.2, 0.3, -8.0))
+        for tf1_tf2, disturbance in (([(0.1, 0.2), (0.3, DEFAULT_TF2_MIN)] * 2, ()),
+                                     ([(0.0, 0.0)] * 4, pulses),
+                                     ([(0.0, 0.2), (0.1, 0.0), (0.0, 0.0), (0.2, 0.5)], pulses)):
+            scenarios = [Scenario(patient=1 + 3 * i, duration=2.0, disturbance=disturbance,
+                                  controller=ControllerConfig(tf1=tf1, tf2=tf2))
+                         for i, (tf1, tf2) in enumerate(tf1_tf2)]
+            assert [repr(column) for column in engine._closed_loop_lanes(scenarios).T.tolist()] \
+                == [repr(run_closed_loop(s).bis_measured) for s in scenarios]
+
+
 def _scalar_error(scenario):
     """run_closed_loop's error type, step prefix and message body."""
     with pytest.raises(BisloopError) as info:
@@ -458,6 +480,14 @@ def _scalar_error(scenario):
     prefix, body = str(info.value).split(": ", 1)
     assert re.fullmatch(r"step \d+ \(t=\d+\.\d{4} min\)", prefix)
     return type(info.value), prefix, body
+
+
+def _named_error(scenario):
+    """The error run_many and the lanes raise for scenario: its type, and
+    run_closed_loop's message with the run named after the step prefix."""
+    exc_type, prefix, body = _scalar_error(scenario)
+    return exc_type, (f"{prefix}: patient {scenario.patient.id}, "
+                      f"tf2={scenario.controller.tf2:.6g} min: {body}")
 
 
 @pytest.mark.filterwarnings("error")

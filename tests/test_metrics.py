@@ -177,9 +177,9 @@ class TestTuneTf2:
         lane_counts = []
         kernel = metrics._closed_loop_lanes
 
-        def counting(scenarios, names):
+        def counting(scenarios):
             lane_counts.append(len(scenarios))
-            return kernel(scenarios, names)
+            return kernel(scenarios)
 
         monkeypatch.setattr(metrics, "_closed_loop_lanes", counting)
         result = tune_tf2([0.0, 0.5], threshold=math.inf)
@@ -210,12 +210,12 @@ LANES = st.lists(st.tuples(st.integers(1, 13),
                  min_size=1, max_size=4)
 
 
-def _lane_iaes(template, patients, tf2, signal):
+def _lane_iaes(template, patients, tf2):
     """IAE of each lane of the kernel, run on the scenarios tune_tf2 builds."""
     runs = [replace(template, patient=p, noise=0.0,
                     controller=replace(template.controller, tf2=t, nominal_e0=None))
             for p, t in zip(patients, tf2)]
-    ys = _closed_loop_lanes(runs, (signal,))[:, 0]
+    ys = _closed_loop_lanes(runs)
     ts = [k * template.h for k in range(template.n_steps)]
     return _trapezoid_iae(ts, ys, template.controller.target_bis).tolist()
 
@@ -223,25 +223,24 @@ def _lane_iaes(template, patients, tf2, signal):
 class TestLaneParity:
     """Every lane of the batched sweep loop matches the scalar run_closed_loop."""
 
-    @pytest.mark.parametrize("signal", ["bis_true", "bis_measured", "bis_filtered"])
     @settings(max_examples=20)
     @given(lanes=LANES, kp=st.floats(0.0, 40.0), ki=st.floats(0.0, 10.0))
-    def test_lane_iae_matches_scalar_run(self, signal, lanes, kp, ki):
+    def test_lane_iae_matches_scalar_run(self, lanes, kp, ki):
         template = replace(SHORT_TEMPLATE,
                            controller=replace(SHORT_TEMPLATE.controller, kp=kp, ki=ki))
         patients = [cohort_member(pid) for pid, _ in lanes]
         tf2 = [t for _, t in lanes]
         try:
             expected = [
-                _trapezoid_iae(traj.t, getattr(traj, signal), template.controller.target_bis)
+                _trapezoid_iae(traj.t, traj.bis_measured, template.controller.target_bis)
                 for traj in (run_closed_loop(replace(
                     template, patient=p, controller=replace(template.controller, tf2=t)))
                     for p, t in zip(patients, tf2))]
         except (ControllerError, ModelError) as e:
             with pytest.raises(type(e)):
-                _lane_iaes(template, patients, tf2, signal)
+                _lane_iaes(template, patients, tf2)
             return
-        got = _lane_iaes(template, patients, tf2, signal)
+        got = _lane_iaes(template, patients, tf2)
         assert all(type(v) is float for v in got)
         assert got == expected
 
@@ -250,7 +249,7 @@ class TestLaneParity:
         expected = [
             _trapezoid_iae(traj.t, traj.bis_measured, 50.0)
             for traj in (run_closed_loop(replace(template, patient=p)) for p in cohort)]
-        got = _lane_iaes(template, cohort, [DEFAULT_TF2_MIN] * len(cohort), "bis_measured")
+        got = _lane_iaes(template, cohort, [DEFAULT_TF2_MIN] * len(cohort))
         assert got == expected
 
 
