@@ -102,9 +102,6 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def cmd_tune_tf2(args) -> int:
-    # NaN, or -inf, which no degradation ratio meets: refused before the sweep.
-    if not args.threshold > -math.inf:
-        raise ScenarioError(f"--threshold expects a number above -inf, got {args.threshold}")
     template = _read_scenario(args.scenario) if args.scenario else None
     result = tune_tf2(_parse_grid(args.grid), threshold=args.threshold,
                       template=template)
@@ -126,7 +123,12 @@ def cmd_curve(args) -> int:
     if args.patient == "all":
         patients = builtin_cohort()
     else:
-        patients = [cohort_member(int(args.patient))]
+        try:
+            patient_id = int(args.patient)
+        except ValueError:
+            raise ScenarioError(
+                f"--patient expects an id or 'all', got {args.patient!r}") from None
+        patients = [cohort_member(patient_id)]
     lines = ["patient_id,ce_mg_l,bis"]
     series = []
     for p in patients:

@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -56,7 +56,8 @@ def disturbance_at(profile: Sequence[DisturbancePulse], t: float) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to reproduce one closed-loop run."""
+    """Everything needed to reproduce one run, checked when built.  An
+    open-loop run (run_open_loop builds its own) does not read controller."""
 
     # A cohort id (1-13) stands for cohort_member(id); after construction the
     # field is always the VirtualPatient that runs.
@@ -69,41 +70,32 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        _check_run(self.duration, self.h, self.noise, self.seed, self.disturbance)
+        duration, h = self.duration, self.h
+        for name, value in (("duration", duration), ("h", h)):
+            if not 0 < value <= sys.float_info.max:
+                raise ScenarioError(f"{name} must be finite and positive, got {value}")
+        if duration / h > MAX_STEPS:
+            raise ScenarioError(f"run of {duration / h:.6g} steps (duration={duration} min, "
+                                f"h={h} min) exceeds MAX_STEPS={MAX_STEPS}")
+        # Only after the budget test, which keeps duration / h within int range.
+        if self.n_steps < 1:
+            raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
+        if not 0 <= self.noise <= sys.float_info.max:
+            raise ScenarioError(f"noise sigma must be finite and >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        for p in self.disturbance:
+            if not (abs(p.start) <= sys.float_info.max and 0 < p.duration <= sys.float_info.max
+                    and abs(p.amplitude) <= sys.float_info.max):
+                raise ScenarioError(f"disturbance pulse needs a finite start and amplitude and "
+                                    f"a finite, positive duration, got {p}")
         if not isinstance(self.patient, VirtualPatient):
             object.__setattr__(self, "patient", cohort_member(self.patient))
 
     @property
     def n_steps(self) -> int:
-        return _step_count(self.duration, self.h)
-
-
-def _check_run(duration: float, h: float, noise: float, seed: int,
-               disturbance: Sequence[DisturbancePulse]) -> None:
-    """Reject run settings no run can use."""
-    for name, value in (("duration", duration), ("h", h)):
-        if not 0 < value <= sys.float_info.max:
-            raise ScenarioError(f"{name} must be finite and positive, got {value}")
-    if duration / h > MAX_STEPS:
-        raise ScenarioError(f"run of {duration / h:.6g} steps (duration={duration} min, "
-                            f"h={h} min) exceeds MAX_STEPS={MAX_STEPS}")
-    # Only after the budget test, which keeps duration / h within int range.
-    if _step_count(duration, h) < 1:
-        raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
-    if not 0 <= noise <= sys.float_info.max:
-        raise ScenarioError(f"noise sigma must be finite and >= 0, got {noise}")
-    if seed < 0:
-        raise ScenarioError(f"seed must be >= 0, got {seed}")
-    for p in disturbance:
-        if not (abs(p.start) <= sys.float_info.max and 0 < p.duration <= sys.float_info.max
-                and abs(p.amplitude) <= sys.float_info.max):
-            raise ScenarioError(f"disturbance pulse needs a finite start and amplitude and "
-                                f"a finite, positive duration, got {p}")
-
-
-def _step_count(duration: float, h: float) -> int:
-    # duration/h with a final partial step truncated
-    return int(duration / h + 1e-9)
+        # duration/h with a final partial step truncated
+        return int(self.duration / self.h + 1e-9)
 
 
 @dataclass
@@ -134,10 +126,11 @@ class Trajectory:
 TRAJECTORY_FIELDS = tuple(f.name for f in fields(Trajectory))
 
 
-def resolve_controller(cfg: ControllerConfig, patient: VirtualPatient) -> ControllerConfig:
+def resolve_controller(scenario: Scenario) -> ControllerConfig:
     """The run's controller config, its nominal e0 defaulting to the patient's
     measured awake BIS; building it checks the target against that e0."""
-    return cfg if cfg.nominal_e0 is not None else replace(cfg, nominal_e0=patient.hill.e0)
+    cfg, e0 = scenario.controller, scenario.patient.hill.e0
+    return cfg if cfg.nominal_e0 is not None else replace(cfg, nominal_e0=e0)
 
 
 # (start_min, rate) breakpoints of an open-loop run's infusion.
@@ -185,10 +178,9 @@ def _trajectory(values: list[float | None]) -> Trajectory:
     return Trajectory(*(values[i::n] for i in range(n)))
 
 
-def _reference_run(patient: VirtualPatient, duration: float, h: float,
-                   disturbance: Sequence[DisturbancePulse], noise: float, seed: int,
-                   drive: ControllerConfig | InfusionProfile) -> Trajectory:
-    """The per-step reference loop, which _run and the lanes are pinned to.
+def _reference_run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajectory:
+    """The per-step reference loop, which _run and the lanes are pinned to:
+    open loop under profile when it is given, else closed loop.
 
     Built from the model's own functions: hill_bis, disturbance_at, then
     controller_step (lp2_step, inverse_hill, the PI law, DiscretePk.step on
@@ -196,24 +188,26 @@ def _reference_run(patient: VirtualPatient, duration: float, h: float,
     Each step measures BIS, records the step, then advances the plant under
     u held constant for the step.  A failure raises its error with the
     failing step index attached.  Runs take this loop only to explain a
-    failure; it is also the tests' oracle.
+    failure (_explain); it is also the tests' oracle.
     """
+    patient, h, disturbance = scenario.patient, scenario.h, scenario.disturbance
     hill, advance = patient.hill, DiscretePk(patient.pk, h).step
-    if isinstance(drive, ControllerConfig):
-        cs = ControllerState.initial(drive, awake_bis=hill.e0)
+    if profile is None:
+        cfg = resolve_controller(scenario)
+        cs = ControllerState.initial(cfg, awake_bis=hill.e0)
         model = DiscretePk(MODEL_PK, h)
 
         def control(t: float, bm: float) -> tuple:
             ce_model = cs.model_state.ce
-            u = controller_step(cs, drive, model, bm)
-            return u, cs.f1.x2, ce_model, cs.f2.x2, drive.ce_ref
+            u = controller_step(cs, cfg, model, bm)
+            return u, cs.f1.x2, ce_model, cs.f2.x2, cfg.ce_ref
     else:
         def control(t: float, bm: float) -> tuple:
-            return _rate_at(drive, t), None, None, None, None
+            return _rate_at(profile, t), None, None, None, None
 
     state = ZERO_STATE
     values: list[float | None] = []
-    for k, offset in enumerate(_offsets(noise, seed, _step_count(duration, h))):
+    for k, offset in enumerate(_offsets(scenario.noise, scenario.seed, scenario.n_steps)):
         t = k * h
         try:
             bt = hill_bis(state.ce, hill)
@@ -227,9 +221,18 @@ def _reference_run(patient: VirtualPatient, duration: float, h: float,
     return _trajectory(values)
 
 
-def _run(patient: VirtualPatient, duration: float, h: float,
-         disturbance: Sequence[DisturbancePulse], noise: float, seed: int,
-         drive: ControllerConfig | InfusionProfile) -> Trajectory:
+def _explain(scenario: Scenario, profile: InfusionProfile | None, k: int) -> NoReturn:
+    """Raise the error of a fast loop (_run or a lane) that failed at step k:
+    the per-step reference's if it fails at step k too, else RuntimeError."""
+    try:
+        _reference_run(scenario, profile)
+    except BisloopError as e:
+        if str(e).startswith(_failure_prefix(k, scenario.h)):
+            raise
+    raise RuntimeError(f"a fast loop failed at step {k}; its reference did not")
+
+
+def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajectory:
     """The scalar step loop both runners share: _reference_run on local floats.
 
     Every value of the loop is a local float: the plant's and the internal
@@ -240,15 +243,16 @@ def _run(patient: VirtualPatient, duration: float, h: float,
     open-loop rate are re-read from disturbance_at and _rate_at only at
     steps reaching one of their edges; in between they are constant.  Each
     step repeats the reference's float operations in its order, so the two
-    agree bit for bit.  Open loop is the same loop with the controller block
-    off.
+    agree bit for bit.  Open loop (profile given) is the same loop with the
+    controller block off.
 
     States no failure of its own: an out-of-domain reading inverts to NaN,
     and one finiteness test per step covers what the reference tests: bt,
     u (which a NaN reading makes NaN), the model and the plant state.  When
-    it fails, or ce ** gamma overflows, the reference re-runs and raises its
-    error.
+    it fails, or ce ** gamma overflows, _explain raises the reference's error
+    at that step.
     """
+    patient, h, disturbance = scenario.patient, scenario.h, scenario.disturbance
     hill = patient.hill
     e0, emax, gamma, c50g = hill.e0, hill.emax, hill.gamma, hill.c50g
     plant = DiscretePk(patient.pk, h)
@@ -256,9 +260,10 @@ def _run(patient: VirtualPatient, duration: float, h: float,
         (p41, p42, p43, p44) = plant.phi
     g1, g2, g3, g4 = plant.gamma
     edges = {p.start for p in disturbance} | {p.start + p.duration for p in disturbance}
-    closed = isinstance(drive, ControllerConfig)
+    closed = profile is None
     if closed:
-        cfg, nominal = drive, drive.nominal
+        cfg = resolve_controller(scenario)
+        nominal = cfg.nominal
         n_e0, n_emax_e0, n_ce50 = nominal.e0, nominal.emax - nominal.e0, nominal.ce50
         inv_gamma = 1.0 / nominal.gamma
         kp, ki, u_max, ce_ref = cfg.kp, cfg.ki, cfg.u_max, cfg.ce_ref
@@ -273,18 +278,18 @@ def _run(patient: VirtualPatient, duration: float, h: float,
         f2x1 = f2x2 = integrator = m1 = m2 = m3 = m4 = 0.0
     else:
         bis_f = ce_model = i_t = ce_ref = None
-        edges.update(start for start, _ in drive)
+        edges.update(start for start, _ in profile)
     edges = sorted(edges) + [math.inf]
     edge = edges[0]
     d = u = c1 = c2 = c3 = ce = 0.0
     values: list[float | None] = []
     try:
-        for k, offset in enumerate(_offsets(noise, seed, _step_count(duration, h))):
+        for k, offset in enumerate(_offsets(scenario.noise, scenario.seed, scenario.n_steps)):
             t = k * h
             if t >= edge:
                 d = disturbance_at(disturbance, t)
                 if not closed:
-                    u = _rate_at(drive, t)
+                    u = _rate_at(profile, t)
                 edge = edges[bisect_right(edges, t)]
             if ce <= 0.0:
                 bt = e0
@@ -350,15 +355,7 @@ def _run(patient: VirtualPatient, duration: float, h: float,
             return _trajectory(values)
     except OverflowError:
         pass
-    _reference_run(patient, duration, h, disturbance, noise, seed, drive)
-    raise RuntimeError(f"the scalar loop failed at step {k}; its reference did not")
-
-
-def _closed_loop(scenario: Scenario, loop: Callable[..., Trajectory]) -> Trajectory:
-    """scenario through loop (_run or _reference_run), its controller resolved."""
-    patient = scenario.patient
-    return loop(patient, scenario.duration, scenario.h, scenario.disturbance, scenario.noise,
-                scenario.seed, resolve_controller(scenario.controller, patient))
+    _explain(scenario, profile, k)
 
 
 def run_closed_loop(scenario: Scenario) -> Trajectory:
@@ -369,7 +366,7 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     constant for the step.  Controller or integration failures abort the
     run with the failing step index attached.
     """
-    return _closed_loop(scenario, _run)
+    return _run(scenario)
 
 
 def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a: np.ndarray,
@@ -400,8 +397,8 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     np.float_power (the libm pow that float.__pow__ calls), and the plants
     and internal models advance by one DiscretePk step over 2L columns.  A
     lane's BIS or state turns non-finite in the step where its scalar loop
-    fails; the first such lane re-runs the per-step reference
-    (_reference_run) and raises its error at that step, naming the lane.
+    fails; the first such lane goes to _explain, and the reference's error at
+    that step is raised with the lane named.
 
     Each step is a fixed sequence of ufunc calls writing into buffers built
     once per run: the other signals live in one frame, which also holds the
@@ -412,7 +409,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     """
     n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
     patients = [s.patient for s in scenarios]
-    cfgs = [resolve_controller(s.controller, p) for s, p in zip(scenarios, patients)]
+    cfgs = [resolve_controller(s) for s in scenarios]
 
     def lanes(objs, keys: str) -> list[np.ndarray]:
         return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
@@ -517,13 +514,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
         np.add.reduce(product, axis=1, out=state)
         if np.count_nonzero(np.isfinite(checked, finite)) < finite.size:
             j = int(np.argmin(finite.all(axis=0)))
-            prefix = _failure_prefix(step, h)
             try:
-                _closed_loop(scenarios[j], _reference_run)
+                _explain(scenarios[j], None, step)
             except BisloopError as e:
-                if str(e).startswith(prefix):
-                    raise _named(e, scenarios[j]) from e
-            raise RuntimeError(f"lane {j} went non-finite at step {step}; its reference did not")
+                raise _named(e, scenarios[j]) from e
         np.copyto(state, state_zero, where=np.less(state, state_zero, negative))
     return out
 
@@ -537,9 +531,11 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
 
     profile is either a single constant rate in mg/min or a sequence of
     (start_min, rate) breakpoints, starts finite and non-decreasing; the last
-    of equal starts wins.  Controller columns are recorded as None.
+    of equal starts wins.  Controller columns are recorded as None.  The
+    run's other settings are checked as the Scenario it runs.
     """
-    _check_run(duration, h, noise, seed, disturbance)
+    scenario = Scenario(patient, duration=duration, h=h, noise=noise,
+                        disturbance=tuple(disturbance), seed=seed)
     if isinstance(profile, (int, float)):
         profile = ((0.0, profile),)
     # Checked before float(), which raises OverflowError beyond the float range.
@@ -549,7 +545,7 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     if not all(abs(s) <= sys.float_info.max for s in starts) or starts != sorted(starts):
         raise ScenarioError(f"breakpoint starts must be finite and non-decreasing, got {starts}")
     profile = tuple((float(s), float(r)) for s, r in profile)
-    return _run(patient, duration, h, disturbance, noise, seed, profile)
+    return _run(scenario, profile)
 
 
 def run_many(scenarios: Iterable[Scenario]) -> list[Trajectory]:

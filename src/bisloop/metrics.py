@@ -166,7 +166,7 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     bit-identical to run_closed_loop.  workers is ignored; it stays because
     the benchmark under perfbench/ still passes workers=1.  Raises
     TuningError (carrying the full curve) when no grid point meets the
-    threshold.
+    threshold, and ScenarioError before any run when none can (NaN, -inf).
     """
     if not grid:
         raise ValueError("grid must be non-empty")
@@ -175,6 +175,8 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
         raise ValueError("grid must be strictly increasing")
     if any(g < 0 for g in grid):
         raise ValueError("grid values must be >= 0")
+    if not threshold > -math.inf:
+        raise ScenarioError(f"threshold must be a number above -inf, got {threshold}")
     cohort = cohort if cohort is not None else builtin_cohort()
     if not cohort:
         raise ValueError("cohort must be non-empty")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bisloop
-from bisloop import cli
+from bisloop import metrics
 from bisloop.cli import main
 from bisloop.scenario_io import TRAJECTORY_CSV_HEADER
 
@@ -342,10 +342,10 @@ class TestTuneCommand:
     @pytest.mark.parametrize("threshold", ["nan", "-inf"])
     def test_threshold_no_ratio_meets_exits_2_before_the_sweep(self, capsys, monkeypatch,
                                                                 threshold):
-        monkeypatch.setattr(cli, "tune_tf2", None)   # any sweep would raise TypeError
+        monkeypatch.setattr(metrics, "_closed_loop_lanes", None)   # a sweep would raise TypeError
         assert main(["tune-tf2", "--grid", "0.25:0.25:0.25", f"--threshold={threshold}"]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: --threshold expects a number above -inf, got {threshold}\n"
+        assert err == f"error: threshold must be a number above -inf, got {threshold}\n"
 
     def test_infeasible_threshold(self, capsys):
         rc = main(["tune-tf2", "--grid", "5:5:1", "--threshold", "0.000001"])
@@ -373,6 +373,10 @@ class TestCurveCommand:
 
     def test_unknown_patient(self, capsys):
         assert main(["curve", "--patient", "21"]) == 3
+
+    def test_patient_neither_id_nor_all_exits_2(self, capsys):
+        assert main(["curve", "--patient", "abc"]) == 2
+        assert capsys.readouterr().err == "error: --patient expects an id or 'all', got 'abc'\n"
 
     def test_ce_max_overflowing_the_hill_curve_exits_3(self, capsys):
         assert main(["curve", "--patient", "13", "--ce-max", "1e200"]) == 3

@@ -361,7 +361,7 @@ class TestRunMany:
 
 def _reference(scenario):
     """scenario through the per-step reference loop."""
-    return engine._closed_loop(scenario, engine._reference_run)
+    return engine._reference_run(scenario)
 
 
 def _outcome(run, *args):
@@ -403,8 +403,9 @@ class TestScalarKernel:
                                         disturbance, seed):
         breakpoints = ((0.0, profile),) if isinstance(profile, float) else profile
         assert _outcome(run_open_loop, patient, profile, duration, h, noise, disturbance, seed) \
-            == _outcome(engine._reference_run, patient, duration, h, disturbance, noise, seed,
-                        breakpoints)
+            == _outcome(engine._reference_run, Scenario(patient, duration=duration, h=h,
+                                                        noise=noise, disturbance=disturbance,
+                                                        seed=seed), breakpoints)
 
     @pytest.mark.parametrize("kind", FAILING)
     def test_failing_closed_loop_raises_the_reference_error(self, kind):
@@ -416,7 +417,7 @@ class TestScalarKernel:
                                                (HILL_NON_FINITE_PATIENT, 1e156)])
     def test_failing_open_loop_raises_the_reference_error(self, patient, rate):
         got = _outcome(run_open_loop, patient, rate, 5.0)
-        assert got == _outcome(engine._reference_run, patient, 5.0, 1.0 / 60.0, (), 0.0, 0,
+        assert got == _outcome(engine._reference_run, Scenario(patient, duration=5.0),
                                ((0.0, rate),))
         assert got[0] is ModelError and "Hill curve overflows" in got[1]
 
@@ -424,9 +425,30 @@ class TestScalarKernel:
     def test_a_failure_the_reference_does_not_share_is_a_runtime_error(self, kind, monkeypatch):
         # the loop detects each failing case itself, then asks the reference
         monkeypatch.setattr(engine, "_reference_run", lambda *args: None)
-        with pytest.raises(RuntimeError, match=r"the scalar loop failed at step \d+; "
+        with pytest.raises(RuntimeError, match=r"a fast loop failed at step \d+; "
                                                r"its reference did not"):
             run_closed_loop(FAILING[kind])
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_a_lane_failure_the_reference_does_not_share_is_a_runtime_error(self, kind,
+                                                                           monkeypatch):
+        monkeypatch.setattr(engine, "_reference_run", lambda *args: None)
+        with pytest.raises(RuntimeError, match=r"a fast loop failed at step \d+; "
+                                               r"its reference did not"):
+            engine._closed_loop_lanes([FAILING[kind]])
+
+    @pytest.mark.parametrize("kind", FAILING)
+    def test_a_reference_error_at_another_step_is_a_runtime_error(self, kind, monkeypatch):
+        scenario = FAILING[kind]
+        step = _failure(scenario)[0]
+
+        def reference(*args):
+            raise ModelError(f"{engine._failure_prefix(step + 1, scenario.h)}Hill curve overflows")
+
+        monkeypatch.setattr(engine, "_reference_run", reference)
+        with pytest.raises(RuntimeError, match=rf"a fast loop failed at step {step}; "
+                                               r"its reference did not"):
+            run_closed_loop(scenario)
 
 
 # One _closed_loop_lanes input: noise-free scenarios that share h, the step

@@ -147,6 +147,13 @@ class TestTuneTf2:
         with pytest.raises(ControllerError, match=r"^target_bis=3.0 is below"):
             tune_tf2([0.0, 0.5], template=template)
 
+    @pytest.mark.parametrize("threshold", [math.nan, -math.inf])
+    def test_threshold_no_ratio_meets_rejected_before_the_lanes_run(self, monkeypatch,
+                                                                    threshold):
+        monkeypatch.setattr(metrics, "_closed_loop_lanes", None)   # a sweep would raise TypeError
+        with pytest.raises(ScenarioError, match=r"^threshold must be a number above -inf"):
+            tune_tf2([0.25], threshold=threshold)
+
     def test_infinite_threshold_selects_last(self):
         result = tune_tf2([0.25, 0.5], threshold=math.inf)
         assert result.selected_tf2 == 0.5
