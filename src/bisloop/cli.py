@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .engine import Scenario, run_closed_loop, run_many, run_open_loop
+from .engine import MAX_STEPS, Scenario, run_closed_loop, run_many, run_open_loop
 from .errors import ControllerError, ModelError, ScenarioError
 from .metrics import (TuningError, ce_bis_curve, summarize, tune_tf2)
 from .patient import PkPreset, builtin_cohort, cohort_member
@@ -129,6 +129,10 @@ def cmd_curve(args) -> int:
             raise ScenarioError(
                 f"--patient expects an id or 'all', got {args.patient!r}") from None
         patients = [cohort_member(patient_id)]
+    # The package's one size budget: a curve holds as many samples as a run steps.
+    if args.points * len(patients) > MAX_STEPS:
+        raise ScenarioError(f"--points {args.points} for {len(patients)} patients makes "
+                            f"{args.points * len(patients)} samples, above MAX_STEPS={MAX_STEPS}")
     lines = ["patient_id,ce_mg_l,bis"]
     series = []
     for p in patients:

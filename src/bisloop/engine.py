@@ -10,7 +10,6 @@ seed.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
@@ -159,16 +158,14 @@ def _failure_prefix(k: int, h: float) -> str:
     return f"step {k} (t={k * h:.4f} min): "
 
 
-# What _failure_prefix writes.
-_STEP_PREFIX = re.compile(r"step \d+ \(t=\d+\.\d{4} min\): ")
-
-
-def _named(e: BisloopError, scenario: Scenario) -> BisloopError:
-    """e, raised at a step of scenario's run, with the run named after its
-    step prefix: 'patient <id>, tf2=<tf2> min: '."""
-    prefix = _STEP_PREFIX.match(str(e))[0]
-    return type(e)(f"{prefix}patient {scenario.patient.id}, "
-                   f"tf2={scenario.controller.tf2:.6g} min: {str(e)[len(prefix):]}")
+def _named(run, scenario: Scenario, *args):
+    """run(scenario, *args), with the run named in front of any BisloopError
+    it raises: 'patient <id>, tf2=<tf2> min: ', then the error's message."""
+    try:
+        return run(scenario, *args)
+    except BisloopError as e:
+        raise type(e)(f"patient {scenario.patient.id}, "
+                      f"tf2={scenario.controller.tf2:.6g} min: {e}") from e
 
 
 def _trajectory(values: list[float | None]) -> Trajectory:
@@ -291,11 +288,10 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
                 if not closed:
                     u = _rate_at(profile, t)
                 edge = edges[bisect_right(edges, t)]
-            if ce <= 0.0:
-                bt = e0
-            else:
-                x = ce ** gamma
-                bt = e0 - emax * x / (x + c50g)
+            # The clamped ce is never negative; at ce = +-0.0, x is +-0.0
+            # and bt is e0 exactly, what hill_bis's ce <= 0 branch returns.
+            x = ce ** gamma
+            bt = e0 - emax * x / (x + c50g)
             bm = bt + d + offset
             bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
             if closed:
@@ -398,7 +394,8 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     and internal models advance by one DiscretePk step over 2L columns.  A
     lane's BIS or state turns non-finite in the step where its scalar loop
     fails; the first such lane goes to _explain, and the reference's error at
-    that step is raised with the lane named.
+    that step is raised with the lane named in front, as run_many names a
+    failing run.  So is a lane whose controller does not resolve.
 
     Each step is a fixed sequence of ufunc calls writing into buffers built
     once per run: the other signals live in one frame, which also holds the
@@ -409,7 +406,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     """
     n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
     patients = [s.patient for s in scenarios]
-    cfgs = [resolve_controller(s) for s in scenarios]
+    cfgs = [_named(resolve_controller, s) for s in scenarios]
 
     def lanes(objs, keys: str) -> list[np.ndarray]:
         return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
@@ -513,11 +510,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
         np.multiply(step_matrix, state_and_u, product)
         np.add.reduce(product, axis=1, out=state)
         if np.count_nonzero(np.isfinite(checked, finite)) < finite.size:
-            j = int(np.argmin(finite.all(axis=0)))
-            try:
-                _explain(scenarios[j], None, step)
-            except BisloopError as e:
-                raise _named(e, scenarios[j]) from e
+            _named(_explain, scenarios[int(np.argmin(finite.all(axis=0)))], None, step)
         np.copyto(state, state_zero, where=np.less(state, state_zero, negative))
     return out
 
@@ -551,15 +544,7 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
 def run_many(scenarios: Iterable[Scenario]) -> list[Trajectory]:
     """run_closed_loop on every scenario, in input order.
 
-    The first scenario that fails raises its error, with 'patient <id>,
-    tf2=<tf2> min: ' after the step prefix.
+    The first scenario that fails raises run_closed_loop's error for it, of
+    the same type, with 'patient <id>, tf2=<tf2> min: ' in front.
     """
-    out = []
-    for scenario in scenarios:
-        try:
-            out.append(run_closed_loop(scenario))
-        except BisloopError as e:
-            if _STEP_PREFIX.match(str(e)):
-                raise _named(e, scenario) from e
-            raise
-    return out
+    return [_named(run_closed_loop, scenario) for scenario in scenarios]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bisloop
-from bisloop import metrics
+from bisloop import cli, metrics
 from bisloop.cli import main
 from bisloop.scenario_io import TRAJECTORY_CSV_HEADER
 
@@ -24,6 +24,8 @@ HILL_NON_FINITE = {"patient": {"id": 5, "age": 38, "height_cm": 169, "weight_kg"
                                "ce50": 1.0, "gamma": 2.0, "e0": 95.0, "emax": 94.0},
                    "duration_min": 5,
                    "controller": {"kp": 1e300, "u_max_mg_min": 1e156, "nominal_e0": 80.0}}
+# Patient 10's awake BIS is 83.1, below the target; patients 1-9 reach it.
+UNREACHABLE = {"duration_min": 1, "controller": {"target_bis": 85}}
 P13 = {"id": 13, "age": 38, "height_cm": 169, "weight_kg": 65, "sex": "F",
        "ce50": 7.42, "gamma": 2, "e0": 93.1, "emax": 96.58}
 
@@ -298,9 +300,15 @@ class TestCohortCommand:
              "sys.exit(main(sys.argv[1:]))", "cohort", "--scenario",
              scenario_file(HILL_OVERFLOW)], capture_output=True, text=True, env=env)
         assert proc.returncode == 3
-        assert proc.stderr.startswith("error: step 1 (t=0.0167 min): patient 1, "
-                                      "tf2=0.163118 min: Hill curve overflows: ce=")
+        assert proc.stderr.startswith("error: patient 1, tf2=0.163118 min: "
+                                      "step 1 (t=0.0167 min): Hill curve overflows: ce=")
         assert proc.stderr.count("\n") == 1
+
+    def test_run_failing_before_its_first_step_is_named(self, scenario_file, capsys):
+        assert main(["cohort", "--scenario", scenario_file(UNREACHABLE)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: patient 10, ")
+        assert err.count("\n") == 1
 
 
 class TestTuneCommand:
@@ -331,7 +339,14 @@ class TestTuneCommand:
         path = scenario_file({"duration_min": 30, "h_min": 5.0})
         assert main(["tune-tf2", "--grid", "0.5:0.5:0.5", "--scenario", path]) == 4
         err = capsys.readouterr().err
-        assert "step 1 (t=5.0000 min): patient" in err
+        assert "patient 1, tf2=0 min: step 1 (t=5.0000 min): " in err
+
+    def test_lane_failing_before_its_first_step_is_named(self, scenario_file, capsys):
+        path = scenario_file(UNREACHABLE)
+        assert main(["tune-tf2", "--grid", "0.5:0.5:0.5", "--scenario", path]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: patient 10, ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("h", [40.0, 29.999])
     def test_template_shorter_than_two_steps_exits_2(self, scenario_file, capsys, h):
@@ -386,6 +401,16 @@ class TestCurveCommand:
     def test_fewer_than_two_points_exits_2(self, capsys, points):
         assert main(["curve", "--patient", "13", "--points", points]) == 2
         assert capsys.readouterr().err == f"error: --points expects at least 2, got {points}\n"
+
+    def test_more_samples_than_max_steps_exits_2_before_any_point(self, capsys, monkeypatch):
+        # 13 patients x 76924 points = 1 000 012 samples, just above MAX_STEPS
+        def ce_bis_curve(*args):
+            raise AssertionError("a point was computed")
+
+        monkeypatch.setattr(cli, "ce_bis_curve", ce_bis_curve)
+        assert main(["curve", "--patient", "all", "--points", "76924"]) == 2
+        assert capsys.readouterr().err == ("error: --points 76924 for 13 patients makes "
+                                           "1000012 samples, above MAX_STEPS=1000000\n")
 
     @pytest.mark.parametrize("ce_max", ["nan", "inf"])
     def test_non_finite_ce_max_exits_1(self, capsys, ce_max):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisloop import (BisloopError, ControllerConfig, Demographics, DisturbancePulse, HillParams,
-                     ModelError, Scenario, ScenarioError, Sex, VirtualPatient,
-                     cohort_member, disturbance_at, noise_stream, run_closed_loop,
-                     run_many, run_open_loop, tune_tf2)
+from bisloop import (BisloopError, ControllerConfig, ControllerError, Demographics,
+                     DisturbancePulse, HillParams, ModelError, Scenario, ScenarioError, Sex,
+                     VirtualPatient, cohort_member, disturbance_at, noise_stream,
+                     run_closed_loop, run_many, run_open_loop, tune_tf2)
 from bisloop import engine
 from bisloop.control import DEFAULT_TF2_MIN, inverse_hill
 from bisloop.engine import MAX_STEPS
@@ -349,7 +349,19 @@ class TestRunMany:
         with pytest.raises(ModelError) as info:
             run_many([a, b])
         assert str(info.value) == _named_error(a)[1]
-        assert ": patient 5, " in str(info.value)
+        assert str(info.value).startswith("patient 5, ")
+
+    def test_run_failing_before_its_first_step_is_named(self):
+        # Patient 10's awake BIS, 83.1, lies below the target: its controller
+        # does not resolve, so its run fails before step 0.
+        unreachable = ControllerConfig(target_bis=85)
+        failing = Scenario(patient=10, controller=unreachable)
+        with pytest.raises(ControllerError) as scalar:
+            run_closed_loop(failing)
+        with pytest.raises(ControllerError) as info:
+            run_many([Scenario(patient=1, controller=unreachable), failing])
+        assert type(info.value) is ControllerError
+        assert str(info.value) == f"patient 10, tf2=0.163118 min: {scalar.value}"
 
     def test_preserves_order_and_matches_serial(self):
         scenarios = [Scenario(patient=i, duration=1.0) for i in (1, 5, 13)]
@@ -506,16 +518,16 @@ def _scalar_error(scenario):
 
 def _named_error(scenario):
     """The error run_many and the lanes raise for scenario: its type, and
-    run_closed_loop's message with the run named after the step prefix."""
+    run_closed_loop's message with the run named in front."""
     exc_type, prefix, body = _scalar_error(scenario)
-    return exc_type, (f"{prefix}: patient {scenario.patient.id}, "
-                      f"tf2={scenario.controller.tf2:.6g} min: {body}")
+    return exc_type, (f"patient {scenario.patient.id}, "
+                      f"tf2={scenario.controller.tf2:.6g} min: {prefix}: {body}")
 
 
 @pytest.mark.filterwarnings("error")
 class TestFailureParity:
     """A failing lane raises what run_closed_loop raises for it: the same type,
-    step and message, the lane named after the step, and no numpy warning."""
+    step and message, the lane named in front, and no numpy warning."""
 
     @pytest.mark.parametrize("kind", FAILING)
     def test_run_many(self, kind):
@@ -525,7 +537,7 @@ class TestFailureParity:
             run_many([_runs_through(failing), failing])
         assert type(info.value) is exc_type
         assert str(info.value) == \
-            f"{prefix}: patient {failing.patient.id}, tf2={failing.controller.tf2:.6g} min: {body}"
+            f"patient {failing.patient.id}, tf2={failing.controller.tf2:.6g} min: {prefix}: {body}"
 
     @pytest.mark.parametrize("kind", FAILING)
     def test_tune_tf2(self, kind):
@@ -537,7 +549,7 @@ class TestFailureParity:
         with pytest.raises(BisloopError) as info:
             tune_tf2([0.5], cohort=[p13], template=template)
         assert type(info.value) is exc_type
-        assert str(info.value) == f"{prefix}: patient 13, tf2=0 min: {body}"
+        assert str(info.value) == f"patient 13, tf2=0 min: {prefix}: {body}"
 
     @pytest.mark.parametrize("ce50", [1e200, 1e-200])
     def test_ce50_extremes_rejected_before_any_run(self, ce50):

@@ -144,7 +144,8 @@ class TestTuneTf2:
 
     def test_unreachable_target_rejected_before_the_lanes_run(self):
         template = Scenario(duration=2.0, controller=ControllerConfig(target_bis=3.0))
-        with pytest.raises(ControllerError, match=r"^target_bis=3.0 is below"):
+        with pytest.raises(ControllerError,
+                           match=r"^patient 1, tf2=0 min: target_bis=3.0 is below"):
             tune_tf2([0.0, 0.5], template=template)
 
     @pytest.mark.parametrize("threshold", [math.nan, -math.inf])
@@ -199,9 +200,19 @@ class TestTuneTf2:
     def test_failing_lane_named_with_step_and_time(self):
         template = replace(default_tuning_scenario(), h=5.0)
         with pytest.raises(ControllerError,
-                           match=r"^step 1 \(t=5\.0000 min\): patient \d+, tf2=0 min: "
+                           match=r"^patient \d+, tf2=0 min: step 1 \(t=5\.0000 min\): "
                                  r"inverse Hill out of domain"):
             tune_tf2([0.5], template=template)
+
+    def test_lane_failing_before_its_first_step_named(self):
+        # patient 10's awake BIS, 83.1, is the first below the target
+        template = Scenario(duration=1.0, controller=ControllerConfig(target_bis=85))
+        with pytest.raises(ControllerError) as scalar:
+            run_closed_loop(replace(template, patient=10,
+                                    controller=replace(template.controller, tf2=0.0)))
+        with pytest.raises(ControllerError) as info:
+            tune_tf2([0.5], template=template)
+        assert str(info.value) == f"patient 10, tf2=0 min: {scalar.value}"
 
     @pytest.mark.parametrize("h", [40.0, 29.999])
     def test_template_shorter_than_two_steps_rejected(self, h):
