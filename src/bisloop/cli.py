@@ -98,6 +98,8 @@ def _parse_grid(spec: str) -> list[float]:
     if not math.isfinite(count):
         raise ScenarioError(f"--grid expects a finite point count (B - A) / STEP, got {spec!r}")
     n = int(count + 1e-9) + 1
+    if n > MAX_STEPS:  # the package's one size budget, as for curve's samples
+        raise ScenarioError(f"--grid {spec} makes {n} points, above MAX_STEPS={MAX_STEPS}")
     return [lo + i * step for i in range(n)]
 
 

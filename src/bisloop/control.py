@@ -20,8 +20,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import ControllerError
-from .patient import (Demographics, DiscretePk, HillParams, PatientState, PkPreset, Sex,
-                      ZERO_STATE, derive_pk_params)
+from .patient import (AVERAGE_PATIENT_ID, DiscretePk, HillParams, PatientState, ZERO_STATE,
+                      cohort_member)
 
 # Population-average Hill parameters used by the controller; only the awake
 # baseline e0 is measurable per patient before induction.
@@ -36,9 +36,7 @@ DEFAULT_TF2_MIN = 9.7871 / 60.0
 
 # The internal model is the cohort's average individual under the standard
 # covariate preset, whoever the patient is.
-DEFAULT_MODEL_DEMOGRAPHICS = Demographics(age=38, height_cm=169.0,
-                                          weight_kg=65.0, sex=Sex.FEMALE)
-MODEL_PK = derive_pk_params(DEFAULT_MODEL_DEMOGRAPHICS, PkPreset.SCHNIDER_CORRECTED)
+MODEL_PK = cohort_member(AVERAGE_PATIENT_ID).pk
 
 
 def inverse_hill(bis: float, curve: HillParams) -> float:

@@ -547,4 +547,7 @@ def run_many(scenarios: Iterable[Scenario]) -> list[Trajectory]:
     The first scenario that fails raises run_closed_loop's error for it, of
     the same type, with 'patient <id>, tf2=<tf2> min: ' in front.
     """
+    scenarios = list(scenarios)
+    for scenario in scenarios:  # a target some patient cannot reach fails before any run
+        _named(resolve_controller, scenario)
     return [_named(run_closed_loop, scenario) for scenario in scenarios]

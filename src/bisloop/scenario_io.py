@@ -25,6 +25,21 @@ TRAJECTORY_CSV_HEADER = ("t_min,bis_true,bis_measured,bis_filtered,u_mg_min,"
 
 _SEX_ALIASES = {"f": Sex.FEMALE, "female": Sex.FEMALE, "m": Sex.MALE, "male": Sex.MALE}
 
+# Each object's plain-number keys as (JSON key, attribute, rule) rows, rule
+# None, "positive" or "non_negative": _check_keys admits them, _numbers reads
+# them and _dump writes them, in row order.  Other keys are handled by name.
+_CONTROLLER_KEYS = (("target_bis", "target_bis", "positive"), ("tf1_min", "tf1", "non_negative"),
+                    ("tf2_min", "tf2", "non_negative"), ("kp", "kp", "non_negative"),
+                    ("ki", "ki", "non_negative"), ("u_max_mg_min", "u_max", "positive"))
+_DEMOGRAPHICS_KEYS = (("height_cm", "height_cm", "positive"),
+                      ("weight_kg", "weight_kg", "positive"))
+# In the cohort table's column order; the parser reads e0 and emax first.
+_HILL_KEYS = (("ce50", "ce50", None), ("gamma", "gamma", None),
+              ("e0", "e0", None), ("emax", "emax", None))
+_PULSE_KEYS = (("start_min", "start", "non_negative"),
+               ("duration_min", "duration", "positive"), ("amplitude_bis", "amplitude", None))
+_RUN_KEYS = (("duration_min", "duration", "positive"), ("h_min", "h", "positive"))
+
 
 def _require_mapping(obj: Any, where: str) -> dict:
     if not isinstance(obj, dict):
@@ -32,7 +47,8 @@ def _require_mapping(obj: Any, where: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str):
+def _check_keys(obj: dict, rows: tuple, other_keys: str, where: str):
+    allowed = {key for key, _, _ in rows}.union(other_keys.split())
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"{where}: unknown key(s) {sorted(unknown)}; "
@@ -40,7 +56,7 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
 
 
 def _number(obj: dict, key: str, where: str, default: float | None = None,
-            positive: bool = False, non_negative: bool = False) -> float:
+            rule: str | None = None) -> float:
     if key not in obj:
         if default is None:
             raise ScenarioError(f"{where}.{key}: required")
@@ -54,11 +70,23 @@ def _number(obj: dict, key: str, where: str, default: float | None = None,
         v = math.inf
     if not math.isfinite(v):
         raise ScenarioError(f"{where}.{key}: must be finite, got {v}")
-    if positive and v <= 0:
+    if rule == "positive" and v <= 0:
         raise ScenarioError(f"{where}.{key}: must be > 0, got {v}")
-    if non_negative and v < 0:
+    if rule == "non_negative" and v < 0:
         raise ScenarioError(f"{where}.{key}: must be >= 0, got {v}")
     return v
+
+
+def _numbers(obj: dict, rows: tuple, where: str, defaults: Any = None) -> dict[str, float]:
+    """The rows' values by attribute; an absent key takes the attribute of
+    defaults, or is required when defaults is None."""
+    return {attr: _number(obj, key, where, defaults and getattr(defaults, attr), rule)
+            for key, attr, rule in rows}
+
+
+def _dump(obj: Any, rows: tuple) -> dict[str, float]:
+    """obj's row attributes by JSON key, each as a float."""
+    return {key: float(getattr(obj, attr)) for key, attr, _ in rows}
 
 
 def _integer(obj: dict, key: str, where: str, default: int | None = None) -> int:
@@ -74,17 +102,8 @@ def _integer(obj: dict, key: str, where: str, default: int | None = None) -> int
 
 def _parse_controller(obj: Any) -> ControllerConfig:
     obj = _require_mapping(obj, "controller")
-    _check_keys(obj, {"target_bis", "tf1_min", "tf2_min", "kp", "ki",
-                      "u_max_mg_min", "nominal_e0"}, "controller")
-    defaults = ControllerConfig()
-    cfg = ControllerConfig(
-        target_bis=_number(obj, "target_bis", "controller", defaults.target_bis, positive=True),
-        tf1=_number(obj, "tf1_min", "controller", defaults.tf1, non_negative=True),
-        tf2=_number(obj, "tf2_min", "controller", defaults.tf2, non_negative=True),
-        kp=_number(obj, "kp", "controller", defaults.kp, non_negative=True),
-        ki=_number(obj, "ki", "controller", defaults.ki, non_negative=True),
-        u_max=_number(obj, "u_max_mg_min", "controller", defaults.u_max, positive=True),
-    )
+    _check_keys(obj, _CONTROLLER_KEYS, "nominal_e0", "controller")
+    cfg = ControllerConfig(**_numbers(obj, _CONTROLLER_KEYS, "controller", ControllerConfig))
     if "nominal_e0" not in obj:
         return cfg
     try:
@@ -97,12 +116,12 @@ def _parse_noise(obj: Any) -> float:
     """The noise sigma; kind "none" is sigma 0, though its sigma_bis is
     still checked."""
     obj = _require_mapping(obj, "noise")
-    _check_keys(obj, {"kind", "sigma_bis"}, "noise")
+    _check_keys(obj, (), "kind sigma_bis", "noise")
     kind_raw = obj.get("kind", "none")
     kind = str(kind_raw).lower()
     if kind not in ("none", "gaussian"):
         raise ScenarioError(f"noise.kind: expected 'none' or 'gaussian', got {kind_raw!r}")
-    sigma = _number(obj, "sigma_bis", "noise", 2.0, non_negative=True)
+    sigma = _number(obj, "sigma_bis", "noise", 2.0, "non_negative")
     return sigma if kind == "gaussian" else 0.0
 
 
@@ -113,31 +132,22 @@ def _parse_disturbance(obj: Any) -> tuple[DisturbancePulse, ...]:
     for i, item in enumerate(obj):
         where = f"disturbance[{i}]"
         item = _require_mapping(item, where)
-        _check_keys(item, {"start_min", "duration_min", "amplitude_bis"}, where)
-        pulses.append(DisturbancePulse(
-            start=_number(item, "start_min", where, non_negative=True),
-            duration=_number(item, "duration_min", where, positive=True),
-            amplitude=_number(item, "amplitude_bis", where),
-        ))
+        _check_keys(item, _PULSE_KEYS, "", where)
+        pulses.append(DisturbancePulse(**_numbers(item, _PULSE_KEYS, where)))
     return tuple(pulses)
 
 
 def _parse_patient(obj: Any, preset: PkPreset) -> VirtualPatient:
     obj = _require_mapping(obj, "patient")
-    _check_keys(obj, {"id", "age", "height_cm", "weight_kg", "sex",
-                      "ce50", "gamma", "e0", "emax"}, "patient")
+    _check_keys(obj, _DEMOGRAPHICS_KEYS + _HILL_KEYS, "id age sex", "patient")
     sex_raw = str(obj.get("sex", "")).lower()
     if sex_raw not in _SEX_ALIASES:
         raise ScenarioError(f"patient.sex: expected F/M, got {obj.get('sex')!r}")
     try:
         demo = Demographics(age=_integer(obj, "age", "patient"),
-                            height_cm=_number(obj, "height_cm", "patient", positive=True),
-                            weight_kg=_number(obj, "weight_kg", "patient", positive=True),
+                            **_numbers(obj, _DEMOGRAPHICS_KEYS, "patient"),
                             sex=_SEX_ALIASES[sex_raw])
-        hill = HillParams(e0=_number(obj, "e0", "patient"),
-                          emax=_number(obj, "emax", "patient"),
-                          ce50=_number(obj, "ce50", "patient"),
-                          gamma=_number(obj, "gamma", "patient"))
+        hill = HillParams(**_numbers(obj, _HILL_KEYS[2:] + _HILL_KEYS[:2], "patient"))
     except ModelError as e:
         raise ScenarioError(f"patient: {e}") from e
     return VirtualPatient(_integer(obj, "id", "patient", 0), demo, hill, preset)
@@ -150,8 +160,7 @@ def parse_scenario(text: str) -> Scenario:
     except json.JSONDecodeError as e:
         raise ScenarioError(f"malformed JSON: {e}") from e
     raw = _require_mapping(raw, "scenario")
-    _check_keys(raw, {"patient_id", "patient", "pk_preset", "controller",
-                      "duration_min", "h_min", "noise", "disturbance", "seed"},
+    _check_keys(raw, _RUN_KEYS, "patient_id patient pk_preset controller noise disturbance seed",
                 "scenario")
 
     preset_raw = raw.get("pk_preset", PkPreset.SCHNIDER_CORRECTED.value)
@@ -185,8 +194,7 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         patient=patient,
         controller=controller,
-        duration=_number(raw, "duration_min", "scenario", Scenario.duration, positive=True),
-        h=_number(raw, "h_min", "scenario", Scenario.h, positive=True),
+        **_numbers(raw, _RUN_KEYS, "scenario", Scenario),
         noise=noise,
         disturbance=disturbance,
         seed=seed,
@@ -201,35 +209,21 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     number but id, age and seed is written as a float, so equal scenarios
     give one JSON text however their numbers were spelled.
     """
-    p, cfg = scenario.patient, scenario.controller
-    out: dict[str, Any] = {}
-    out["patient"] = {
-        "id": p.id, "age": p.demographics.age,
-        "height_cm": float(p.demographics.height_cm),
-        "weight_kg": float(p.demographics.weight_kg),
-        "sex": p.demographics.sex.value,
-        "ce50": float(p.hill.ce50), "gamma": float(p.hill.gamma),
-        "e0": float(p.hill.e0), "emax": float(p.hill.emax),
-    }
-    out["pk_preset"] = p.pk_preset.value
-    out["controller"] = {
-        "target_bis": float(cfg.target_bis), "tf1_min": float(cfg.tf1),
-        "tf2_min": float(cfg.tf2), "kp": float(cfg.kp), "ki": float(cfg.ki),
-        "u_max_mg_min": float(cfg.u_max),
-    }
+    p, d, cfg = scenario.patient, scenario.patient.demographics, scenario.controller
+    controller = _dump(cfg, _CONTROLLER_KEYS)
     if cfg.nominal_e0 is not None:
-        out["controller"]["nominal_e0"] = float(cfg.nominal_e0)
-    out["duration_min"] = float(scenario.duration)
-    out["h_min"] = float(scenario.h)
+        controller["nominal_e0"] = float(cfg.nominal_e0)
     sigma = float(scenario.noise) or 0.0   # a sigma of -0.0 is noise-free too
-    out["noise"] = {"kind": "gaussian" if sigma else "none", "sigma_bis": sigma}
-    out["disturbance"] = [
-        {"start_min": float(p.start), "duration_min": float(p.duration),
-         "amplitude_bis": float(p.amplitude)}
-        for p in scenario.disturbance
-    ]
-    out["seed"] = scenario.seed
-    return out
+    return {
+        "patient": {"id": p.id, "age": d.age, **_dump(d, _DEMOGRAPHICS_KEYS),
+                    "sex": d.sex.value, **_dump(p.hill, _HILL_KEYS)},
+        "pk_preset": p.pk_preset.value,
+        "controller": controller,
+        **_dump(scenario, _RUN_KEYS),
+        "noise": {"kind": "gaussian" if sigma else "none", "sigma_bis": sigma},
+        "disturbance": [_dump(pulse, _PULSE_KEYS) for pulse in scenario.disturbance],
+        "seed": scenario.seed,
+    }
 
 
 def _fmt(value: float | None) -> str:

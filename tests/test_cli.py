@@ -310,6 +310,21 @@ class TestCohortCommand:
         assert err.startswith("error: patient 10, ")
         assert err.count("\n") == 1
 
+    def test_unreachable_target_starts_no_run(self, scenario_file, capsys, monkeypatch):
+        # Patients 1-9 reach target 85; patient 10's error comes before any run.
+        unreachable = bisloop.ControllerConfig(target_bis=85.0)
+        with pytest.raises(bisloop.ControllerError) as scalar:
+            bisloop.run_closed_loop(bisloop.Scenario(patient=10, controller=unreachable))
+        runs = []
+        real_run = bisloop.engine._run
+        monkeypatch.setattr(bisloop.engine, "_run",
+                            lambda *args: runs.append(args) or real_run(*args))
+        path = scenario_file({"duration_min": 60, "controller": {"target_bis": 85}})
+        assert main(["cohort", "--scenario", path]) == 4
+        assert capsys.readouterr().err == \
+            f"error: patient 10, tf2=0.163118 min: {scalar.value}\n"
+        assert runs == []
+
 
 class TestTuneCommand:
     def test_single_point_grid(self, tmp_path, capsys):
@@ -334,6 +349,20 @@ class TestTuneCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --grid expects a finite point count")
         assert err.count("\n") == 1
+
+    def test_grid_above_max_steps_exits_2_before_the_sweep(self, capsys, monkeypatch):
+        # One point above the budget, so that a grid built before the check
+        # stays small; the CI step runs a grid of 10**12 points.
+        def sweep(grid, **kwargs):
+            raise AssertionError(f"a sweep of {len(grid)} points started")
+        monkeypatch.setattr(cli, "tune_tf2", sweep)
+        assert main(["tune-tf2", "--grid", f"0:{cli.MAX_STEPS}:1"]) == 2
+        assert capsys.readouterr().err == (f"error: --grid 0:{cli.MAX_STEPS}:1 makes "
+                                           f"{cli.MAX_STEPS + 1} points, above "
+                                           f"MAX_STEPS={cli.MAX_STEPS}\n")
+        # MAX_STEPS points are within the budget and reach the sweep.
+        with pytest.raises(AssertionError, match=f"a sweep of {cli.MAX_STEPS} points"):
+            main(["tune-tf2", "--grid", f"0:{cli.MAX_STEPS - 1}:1"])
 
     def test_controller_failure_in_a_lane_exits_4(self, scenario_file, capsys):
         path = scenario_file({"duration_min": 30, "h_min": 5.0})

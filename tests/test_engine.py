@@ -363,6 +363,22 @@ class TestRunMany:
         assert type(info.value) is ControllerError
         assert str(info.value) == f"patient 10, tf2=0.163118 min: {scalar.value}"
 
+    def test_unresolvable_controller_fails_before_any_run(self, monkeypatch):
+        # Patient 1 reaches target 85 and patient 10 does not: the error for
+        # patient 10 comes before patient 1's run starts.
+        unreachable = ControllerConfig(target_bis=85)
+        scenarios = [Scenario(patient=1, controller=unreachable),
+                     Scenario(patient=10, controller=unreachable)]
+        with pytest.raises(ControllerError) as scalar:
+            run_closed_loop(scenarios[1])
+        runs = []
+        real_run = engine._run
+        monkeypatch.setattr(engine, "_run", lambda *args: runs.append(args) or real_run(*args))
+        with pytest.raises(ControllerError) as info:
+            run_many(iter(scenarios))
+        assert str(info.value) == f"patient 10, tf2=0.163118 min: {scalar.value}"
+        assert runs == []
+
     def test_preserves_order_and_matches_serial(self):
         scenarios = [Scenario(patient=i, duration=1.0) for i in (1, 5, 13)]
         serial = [run_closed_loop(s) for s in scenarios]

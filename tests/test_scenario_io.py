@@ -1,6 +1,10 @@
+import ast
+import copy
 import hashlib
 import json
 import math
+import operator
+from functools import reduce
 
 import pytest
 from hypothesis import assume, example, given
@@ -211,6 +215,23 @@ class TestParseScenario:
         a, b = Scenario(**ints), Scenario(**floats)
         assert a == b
         assert json.dumps(scenario_to_dict(a)) == json.dumps(scenario_to_dict(b))
+
+    @pytest.mark.parametrize("path", [(), ("patient",), ("controller",), ("noise",),
+                                      ("disturbance", 0)],
+                             ids=["scenario", "patient", "controller", "noise", "pulse"])
+    def test_every_key_the_parser_allows_is_written(self, path):
+        # Each object's allowed keys, read from its unknown-key error, are the
+        # keys scenario_to_dict writes for it; only the cohort shorthand
+        # patient_id is never written.
+        doc = scenario_to_dict(Scenario(controller=ControllerConfig(nominal_e0=93.1),
+                                        disturbance=(DisturbancePulse(1.0, 2.0, 3.0),)))
+        bad = copy.deepcopy(doc)
+        reduce(operator.getitem, path, bad)["not_a_key"] = 0
+        with pytest.raises(ScenarioError, match="unknown key") as info:
+            parse_scenario(json.dumps(bad))
+        allowed = ast.literal_eval(str(info.value).split("; allowed: ", 1)[1])
+        written = set(reduce(operator.getitem, path, doc))
+        assert set(allowed) == written | ({"patient_id"} if path == () else set())
 
     def test_cohort_id_is_its_member(self):
         assert Scenario(patient=7) == Scenario(patient=cohort_member(7))
