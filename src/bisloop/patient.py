@@ -82,12 +82,14 @@ def lean_body_mass(sex: Sex | str, weight_kg: float, height_cm: float) -> float:
     """
     if weight_kg <= 0 or height_cm <= 0:
         raise ModelError("weight and height must be positive")
-    ratio = weight_kg * weight_kg / (height_cm * height_cm)
+    # A height whose square underflows to 0 gives an infinite ratio.
+    h2 = height_cm * height_cm
+    ratio = weight_kg * weight_kg / h2 if h2 else math.inf
     if Sex(sex) is Sex.MALE:
         lbm = 1.1 * weight_kg - 128.0 * ratio
     else:
         lbm = 1.07 * weight_kg - 148.0 * ratio
-    if lbm <= 0:
+    if not lbm > 0:   # NaN too, when both squares overflow to inf
         raise NonPhysicalParameterError(
             f"non-physical LBM {lbm:.4g} kg for weight={weight_kg} kg, "
             f"height={height_cm} cm", value=lbm)

@@ -38,6 +38,12 @@ class TestLeanBodyMass:
         with pytest.raises(ModelError, match="non-physical LBM"):
             lean_body_mass(Sex.MALE, 200.0, 100.0)
 
+    @pytest.mark.parametrize("w,h", [(40.0, 5e-324), (1e200, 1e200)])
+    def test_squares_out_of_float_range_rejected(self, w, h):
+        # h*h underflows to 0; both squares overflow to inf and their ratio is NaN
+        with pytest.raises(NonPhysicalParameterError, match="non-physical LBM"):
+            lean_body_mass(Sex.FEMALE, w, h)
+
     def test_accepts_string_sex(self):
         assert lean_body_mass("F", 65, 169) == lean_body_mass(Sex.FEMALE, 65, 169)
 
