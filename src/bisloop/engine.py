@@ -13,6 +13,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
@@ -22,6 +23,10 @@ from .control import MODEL_PK, ControllerConfig, ControllerState, controller_ste
 from .errors import BisloopError, ControllerError, ModelError, ScenarioError
 from .patient import (AVERAGE_PATIENT_ID, DiscretePk, VirtualPatient, ZERO_STATE, cohort_member,
                       hill_bis)
+
+# DiscretePk(pk, h), built once per (PK set, step) and shared by every run:
+# the cohort and the controller's internal model take 14 entries per h.
+_discrete_pk = lru_cache(maxsize=64)(DiscretePk)
 
 # Step budget of one run: duration / h may not exceed it.  A million steps is
 # 11.6 days at the default 1-s step; the longest benchmark run has 14 400.
@@ -188,11 +193,11 @@ def _reference_run(scenario: Scenario, profile: InfusionProfile | None = None) -
     failure (_explain); it is also the tests' oracle.
     """
     patient, h, disturbance = scenario.patient, scenario.h, scenario.disturbance
-    hill, advance = patient.hill, DiscretePk(patient.pk, h).step
+    hill, advance = patient.hill, _discrete_pk(patient.pk, h).step
     if profile is None:
         cfg = resolve_controller(scenario)
         cs = ControllerState.initial(cfg, awake_bis=hill.e0)
-        model = DiscretePk(MODEL_PK, h)
+        model = _discrete_pk(MODEL_PK, h)
 
         def control(t: float, bm: float) -> tuple:
             ce_model = cs.model_state.ce
@@ -252,7 +257,7 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
     patient, h, disturbance = scenario.patient, scenario.h, scenario.disturbance
     hill = patient.hill
     e0, emax, gamma, c50g = hill.e0, hill.emax, hill.gamma, hill.c50g
-    plant = DiscretePk(patient.pk, h)
+    plant = _discrete_pk(patient.pk, h)
     (p11, p12, p13, p14), (p21, p22, p23, p24), (p31, p32, p33, p34), \
         (p41, p42, p43, p44) = plant.phi
     g1, g2, g3, g4 = plant.gamma
@@ -267,7 +272,7 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
         pass1, pass2 = cfg.tf1 == 0.0, cfg.tf2 == 0.0
         a1 = 0.0 if pass1 else 1.0 - math.exp(-h / cfg.tf1)
         a2 = 0.0 if pass2 else 1.0 - math.exp(-h / cfg.tf2)
-        model = DiscretePk(MODEL_PK, h)
+        model = _discrete_pk(MODEL_PK, h)
         (q11, q12, q13, q14), (q21, q22, q23, q24), (q31, q32, q33, q34), \
             (q41, q42, q43, q44) = model.phi
         k1, k2, k3, k4 = model.gamma
@@ -365,20 +370,14 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     return _run(scenario)
 
 
-def _lp2_lanes(x1: np.ndarray, x2: np.ndarray, w: np.ndarray, a: np.ndarray,
-               passthrough: np.ndarray | None, tmp: np.ndarray) -> None:
-    """lp2_step on lane arrays, in place; x2 is the filter output.  The
-    passthrough lanes (tf = 0), if any, take w after each section's lag."""
-    np.subtract(w, x1, tmp)
-    np.multiply(a, tmp, tmp)
-    np.add(x1, tmp, x1)
-    if passthrough is not None:
-        np.copyto(x1, w, where=passthrough)
-    np.subtract(x1, x2, tmp)
-    np.multiply(a, tmp, tmp)
-    np.add(x2, tmp, x2)
-    if passthrough is not None:
-        np.copyto(x2, w, where=passthrough)
+def _pulse_table(profile: Sequence[DisturbancePulse], h: float, n_steps: int) -> np.ndarray:
+    """disturbance_at(profile, k * h) for k in range(n_steps): each pulse's
+    amplitude added, in profile order, at the steps where it is active."""
+    t = np.arange(n_steps) * h
+    sums = np.zeros(n_steps)
+    for p in profile:
+        np.add(sums, p.amplitude, sums, where=(p.start <= t) & (t < p.start + p.duration))
+    return sums
 
 
 @np.errstate(all="ignore")   # a failing lane's inf and NaN warn nothing
@@ -389,20 +388,37 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     The scenarios share h, the step count and the disturbance profile, and
     have noise 0, as the tuning sweep builds them; patient and controller
     are per lane.  Lane j equals run_closed_loop(scenarios[j]) bit for bit:
-    each step repeats the scalar loop's arithmetic in its order, powers by
-    np.float_power (the libm pow that float.__pow__ calls), and the plants
-    and internal models advance by one DiscretePk step over 2L columns.  A
-    lane's BIS or state turns non-finite in the step where its scalar loop
-    fails; the first such lane goes to _explain, and the reference's error at
-    that step is raised with the lane named in front, as run_many names a
-    failing run.  So is a lane whose controller does not resolve.
+    each step repeats the scalar loop's float operations in its order,
+    powers by np.float_power (the libm pow that float.__pow__ calls), and
+    the plants and internal models advance by one DiscretePk step over 2L
+    columns.  A lane's BIS or state turns non-finite in the step where its
+    scalar loop fails; the first such lane goes to _explain, and the
+    reference's error at that step is raised with the lane named in front,
+    as run_many names a failing run.  So is a lane whose controller does not
+    resolve.
 
-    Each step is a fixed sequence of ufunc calls writing into buffers built
-    once per run: the other signals live in one frame, which also holds the
-    plant state in place, and each step computes its measured BIS in its own
-    row of the output.  What does not change per step is decided once: the
-    pulse sum of each step, the per-lane constants, and whether a filter has
-    passthrough lanes to overwrite.
+    Each step is a fixed sequence of ufunc calls, bound to locals, writing
+    into buffers built once per run: the other signals live in one frame,
+    which also holds the plant state in place, and each step computes its
+    measured BIS in its own row of the output.  What does not change per
+    step is decided once: the pulse sum of each step (its full-width row is
+    refilled only where the sum changes), the per-lane constants, and
+    whether a filter has passthrough lanes to overwrite.
+
+    The clamps of the measured BIS, u and the state are np.fmax and np.fmin,
+    which differ from the scalar loop's comparisons only at NaN and at
+    -0.0, and neither difference can reach bis_measured:
+    - A NaN at a clamp means a value of checked is already non-finite in
+      that step, so the lane fails there, as its scalar loop does.  (u is
+      NaN only where err is: a step that would make the integrator
+      infinite drives u past a bound in err's direction, which freezes it.)
+    - bm and the state are never -0.0.  bt is e0 > 0 less a value >= +0.0,
+      and each state row sums phi[i][i] * c_i, which is +0.0 or positive,
+      with other terms; a float sum with one operand that is not -0.0 is
+      never -0.0.
+    - u may be -0.0 in the scalar loop where the lanes hold +0.0, but u
+      only enters the state rows as gamma[i] * u, added to such a sum, and
+      the comparisons of the anti-windup test read -0.0 as +0.0.
     """
     n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
     patients = [s.patient for s in scenarios]
@@ -426,92 +442,128 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     # internal models, with one DiscretePk per distinct PK set.  Row i of a
     # step is (phi[i] . (c1, c2, c3, ce) + gamma[i] * u), summed in that order.
     pks = [p.pk for p in patients] + [MODEL_PK] * n_lanes
-    models = {pk: DiscretePk(pk, h) for pk in dict.fromkeys(pks)}
+    models = {pk: _discrete_pk(pk, h) for pk in dict.fromkeys(pks)}
     step_matrix = np.stack([np.column_stack((models[pk].phi, models[pk].gamma))
                             for pk in pks], axis=-1)                  # (4, 5, 2L)
 
-    # Every lane's pulse sum at each step, as a row broadcast over the lanes.
-    profile = scenarios[0].disturbance
-    pulses = np.array([[disturbance_at(profile, k * h)] for k in range(n_steps)])
+    pulses = _pulse_table(scenarios[0].disturbance, h, n_steps)
+    changes = np.flatnonzero(pulses[1:] != pulses[:-1]) + 1
+    refills = dict(zip(changes.tolist(), pulses[changes].tolist()))
+    pulse = np.full(n_lanes, pulses[0])
 
     # The frame's rows: bt, the two filter outputs, then the plant state c1,
-    # c2, c3, ce and the rate u, each as a patient row and a model row.
+    # c2, c3, ce and the rate u, each as a patient row and a model row.  The
+    # model's u row holds err until u is copied into it, so that (u, err) is
+    # one (2, L) operand of the anti-windup test.
     frame = np.zeros((13, n_lanes))
     bt, bis_f, i_t = frame[:3]
     state_and_u = frame[3:].reshape(5, 2 * n_lanes)
     state = state_and_u[:4]
-    ce, ce_model, u, u_model = frame[9:]
+    ce, ce_model, u, err = frame[9:]
+    u_model, u_err = err, frame[11:]
     bis_f[:] = p_e0
     f1_x1 = p_e0.copy()
-    f2_x1, integrator, proposed, x, tmp, den, ratio, err, kp_err = np.zeros((9, n_lanes))
-    mask, low, err_sign = np.empty((3, n_lanes), dtype=bool)
+    f2_x1, integrator, proposed, x, tmp, den, ratio, kp_err = np.zeros((8, n_lanes))
+    # over = (u > u_max, err > 0) and under = (u < 0, err < 0), by rows.
+    upper, lower = np.stack((u_max, zero)), np.zeros((2, n_lanes))
+    over, under = np.empty((2, 2, n_lanes), dtype=bool)
+    (u_high, err_pos), (u_low, err_neg) = over, under
+    mask, low = np.empty((2, n_lanes), dtype=bool)
     state_zero, product = np.zeros_like(state), np.empty_like(step_matrix)
     # The finiteness test covers bt, the filter outputs and the state, lanes
     # as columns; a non-finite reading or u shows in them within the step.
     checked = frame[:11]
-    finite, negative = np.empty(checked.shape, dtype=bool), np.empty(state.shape, dtype=bool)
+    finite = np.empty(checked.shape, dtype=bool)
+    n_checked = finite.size
+
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    float_power, fmax, fmin, copyto = np.float_power, np.fmax, np.fmin, np.copyto
+    greater, less, less_equal = np.greater, np.less, np.less_equal
+    logical_and, logical_or, isfinite, count_nonzero = (np.logical_and, np.logical_or,
+                                                       np.isfinite, np.count_nonzero)
+    reduce_terms = np.add.reduce
 
     out = np.empty((n_steps, n_lanes))
-    for step, (bm, pulse) in enumerate(zip(out, pulses)):
+    for step, bm in enumerate(out):
+        if step in refills:
+            pulse.fill(refills[step])
         # The patient's BIS and the monitor's reading of it.  At ce = 0 this
         # gives e0 exactly, as hill_bis's ce <= 0 branch does.
-        np.float_power(ce, p_gamma, x)
-        np.add(x, p_c50g, tmp)
-        np.multiply(p_emax, x, x)
-        np.divide(x, tmp, x)
-        np.subtract(p_e0, x, bt)
-        np.add(bt, pulse, bm)
-        np.less(bm, zero, mask)
-        np.copyto(bm, zero, where=mask)
-        np.greater(bm, hundred, mask)
-        np.copyto(bm, hundred, where=mask)
+        float_power(ce, p_gamma, x)
+        add(x, p_c50g, tmp)
+        multiply(p_emax, x, x)
+        divide(x, tmp, x)
+        subtract(p_e0, x, bt)
+        add(bt, pulse, bm)
+        fmax(bm, zero, bm)
+        fmin(bm, hundred, bm)
 
-        # Pre-filter, inverse nominal curve, innovation filter.
-        _lp2_lanes(f1_x1, bis_f, bm, a1, pass1, tmp)
-        np.add(emax_e0, bis_f, den)
-        np.subtract(e0, bis_f, ratio)
-        np.divide(ratio, den, ratio)
-        # A validated target keeps den > 0 at every reading >= e0, so den <= 0
-        # is exactly inverse_hill's out-of-domain case: NaN.  Readings at or
-        # above e0 map to +0.0, as in inverse_hill.
-        np.less_equal(den, zero, mask)
-        np.copyto(ratio, nan, where=mask)
-        np.maximum(ratio, zero, out=ratio)
-        np.float_power(ratio, inv_gamma, ratio)
-        np.multiply(ce50, ratio, ratio)
-        np.subtract(ratio, ce_model, ratio)
-        _lp2_lanes(f2_x1, i_t, ratio, a2, pass2, tmp)
-        np.add(ce_model, i_t, err)
-        np.subtract(ce_ref, err, err)
+        # Pre-filter: lp2_step; tf1 = 0 lanes take bm after each section.
+        subtract(bm, f1_x1, tmp)
+        multiply(a1, tmp, tmp)
+        add(f1_x1, tmp, f1_x1)
+        if pass1 is not None:
+            copyto(f1_x1, bm, where=pass1)
+        subtract(f1_x1, bis_f, tmp)
+        multiply(a1, tmp, tmp)
+        add(bis_f, tmp, bis_f)
+        if pass1 is not None:
+            copyto(bis_f, bm, where=pass1)
 
-        # The PI law with conditional-integration anti-windup, clamped to [0, u_max].
-        np.multiply(kp, err, kp_err)
-        np.multiply(ki, err, proposed)
-        np.multiply(proposed, h_lanes, proposed)
-        np.add(integrator, proposed, proposed)
-        np.add(kp_err, proposed, u)
-        # Integrating would push further into the active constraint: freeze.
-        np.greater(u, u_max, mask)
-        np.logical_and(mask, np.greater(err, zero, err_sign), mask)
-        np.less(u, zero, low)
-        np.logical_and(low, np.less(err, zero, err_sign), low)
-        np.logical_or(mask, low, mask)
-        np.add(kp_err, integrator, tmp)
-        np.copyto(u, tmp, where=mask)
-        np.copyto(proposed, integrator, where=mask)
+        # Inverse nominal curve.  Readings at or above e0 map to +0.0, as in
+        # inverse_hill.  A validated target keeps den > 0 at every reading
+        # >= e0, so den <= 0 is exactly inverse_hill's out-of-domain case: NaN.
+        add(emax_e0, bis_f, den)
+        subtract(e0, bis_f, ratio)
+        divide(ratio, den, ratio)
+        fmax(ratio, zero, ratio)
+        less_equal(den, zero, mask)
+        copyto(ratio, nan, where=mask)
+        float_power(ratio, inv_gamma, ratio)
+        multiply(ce50, ratio, ratio)
+        subtract(ratio, ce_model, ratio)
+
+        # Innovation filter on the model discrepancy, as the pre-filter.
+        subtract(ratio, f2_x1, tmp)
+        multiply(a2, tmp, tmp)
+        add(f2_x1, tmp, f2_x1)
+        if pass2 is not None:
+            copyto(f2_x1, ratio, where=pass2)
+        subtract(f2_x1, i_t, tmp)
+        multiply(a2, tmp, tmp)
+        add(i_t, tmp, i_t)
+        if pass2 is not None:
+            copyto(i_t, ratio, where=pass2)
+        add(ce_model, i_t, err)
+        subtract(ce_ref, err, err)
+
+        # The PI law with conditional-integration anti-windup: where
+        # integrating would push further into the active constraint, the
+        # integrator keeps its value.  Either way u is kp * err plus the
+        # integrator's new value, then clamped to [0, u_max].
+        multiply(kp, err, kp_err)
+        multiply(ki, err, proposed)
+        multiply(proposed, h_lanes, proposed)
+        add(integrator, proposed, proposed)
+        add(kp_err, proposed, u)
+        greater(u_err, upper, over)
+        less(u_err, lower, under)
+        logical_and(u_high, err_pos, mask)
+        logical_and(u_low, err_neg, low)
+        logical_or(mask, low, mask)
+        copyto(proposed, integrator, where=mask)
         integrator, proposed = proposed, integrator
-        np.less(u, zero, mask)
-        np.copyto(u, zero, where=mask)
-        np.greater(u, u_max, mask)
-        np.copyto(u, u_max, where=mask)
+        add(kp_err, integrator, u)
+        fmax(u, zero, u)
+        fmin(u, u_max, u)
 
         # Advance plants and models under u.
-        np.copyto(u_model, u)
-        np.multiply(step_matrix, state_and_u, product)
-        np.add.reduce(product, axis=1, out=state)
-        if np.count_nonzero(np.isfinite(checked, finite)) < finite.size:
+        copyto(u_model, u)
+        multiply(step_matrix, state_and_u, product)
+        reduce_terms(product, axis=1, out=state)
+        if count_nonzero(isfinite(checked, finite)) < n_checked:
             _named(_explain, scenarios[int(np.argmin(finite.all(axis=0)))], None, step)
-        np.copyto(state, state_zero, where=np.less(state, state_zero, negative))
+        fmax(state, state_zero, state)
     return out
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .engine import DisturbancePulse, Scenario, Trajectory, _closed_loop_lanes
 from .errors import BisloopError, ScenarioError
 from .patient import VirtualPatient, builtin_cohort, hill_bis
@@ -30,16 +32,39 @@ def iae(traj: Trajectory, target_bis: float) -> float:
     return _trapezoid_iae(traj.t, traj.bis_true, target_bis)
 
 
+# Rows of terms _trapezoid_iae sums per block: its buffers stay small
+# however long the run.
+_TRAPEZOID_BLOCK = 256
+
+
 def _trapezoid_iae(ts, ys, target_bis: float):
-    """Trapezoidal IAE of samples ys at times ts; a sample may be a row of lanes."""
-    total = 0.0
-    prev_t = ts[0]
-    prev_e = abs(target_bis - ys[0])
-    for t, y in zip(ts[1:], ys[1:]):
-        e = abs(target_bis - y)
-        total += 0.5 * (e + prev_e) * (t - prev_t)
-        prev_t, prev_e = t, e
-    return total
+    """Trapezoidal IAE of samples ys at times ts: a float for a sequence of
+    samples, one float per lane for rows of lanes (shape (n, L)).
+
+    Equal by bits to the sequential loop total = 0.0, then total +=
+    0.5 * (e + prev_e) * (t - prev_t) per interval with e = |target_bis - y|:
+    each block of intervals is one np.add.accumulate down the rows, seeded
+    with the running total.  (np.add.reduce would sum a single lane
+    pairwise and change the bits.)
+    """
+    ts, ys = np.asarray(ts, dtype=float), np.asarray(ys, dtype=float)
+    n, lanes = len(ys), ys.shape[1:]
+    dt = np.diff(ts).reshape((-1,) + (1,) * len(lanes))
+    rows = min(n, _TRAPEZOID_BLOCK + 1)
+    # Row 0 of each buffer carries the previous block's last error and total.
+    e, acc = np.empty((rows,) + lanes), np.zeros((rows,) + lanes)
+    np.abs(np.subtract(target_bis, ys[:1], e[:1]), e[:1])
+    for start in range(1, n, _TRAPEZOID_BLOCK):
+        stop = min(start + _TRAPEZOID_BLOCK, n)
+        b = stop - start
+        np.abs(np.subtract(target_bis, ys[start:stop], e[1:b + 1]), e[1:b + 1])
+        terms = acc[1:b + 1]
+        np.add(e[1:b + 1], e[:b], terms)
+        np.multiply(0.5, terms, terms)
+        np.multiply(terms, dt[start - 1:stop - 1], terms)
+        np.add.accumulate(acc[:b + 1], axis=0, out=acc[:b + 1])
+        e[0], acc[0] = e[b], acc[b]
+    return acc[0].copy() if lanes else float(acc[0])
 
 
 def induction_time(traj: Trajectory, target_bis: float) -> float | None:

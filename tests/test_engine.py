@@ -31,6 +31,18 @@ class TestDisturbance:
         pulses = (DisturbancePulse(10.0, 5.0, 10.0), DisturbancePulse(12.0, 5.0, -4.0))
         assert disturbance_at(pulses, 13.0) == 6.0
 
+    # Overlapping pulses whose edges land exactly on k * h (h = 0.25), a pulse
+    # that starts before 0, and the tuning scenario's pulse at the default step.
+    @pytest.mark.parametrize("profile, h, n_steps", [
+        ((DisturbancePulse(0.5, 1.0, 10.0), DisturbancePulse(1.0, 0.75, -4.0),
+          DisturbancePulse(1.25, 0.25, 2.5)), 0.25, 12),
+        ((DisturbancePulse(-1.0, 1.5, 7.0), DisturbancePulse(0.2, 0.1, -3.0)), 1.0 / 60.0, 60),
+        (default_tuning_scenario().disturbance, 1.0 / 60.0, 1800),
+    ])
+    def test_pulse_table_equals_disturbance_at(self, profile, h, n_steps):
+        assert repr(engine._pulse_table(profile, h, n_steps).tolist()) == \
+            repr([disturbance_at(profile, k * h) for k in range(n_steps)])
+
 
 class TestNoise:
     def test_none_model(self):
@@ -488,11 +500,25 @@ LANE_SCENARIOS = st.tuples(st.floats(0.1, 2.0), STEPS, PULSES).flatmap(
         min_size=1, max_size=6))
 
 
+# Lanes at the edge of every clamp: a -150 pulse pins the monitor at 0 and a
+# +150 pulse at 100.  The lanes have kp = 0, ki = 0, both 0, a 0.5 mg/min pump
+# limit that every step reaches, and a rate that falls below 0 after the deep
+# pulse (target 70, tf2 = 0).
+CLAMP_PULSES = (DisturbancePulse(0.25, 0.2, -150.0), DisturbancePulse(0.6, 0.1, 150.0))
+CLAMP_LANES = [Scenario(patient=1 + 3 * i, duration=1.0, disturbance=CLAMP_PULSES, controller=c)
+               for i, c in enumerate((ControllerConfig(kp=0.0), ControllerConfig(ki=0.0),
+                                      ControllerConfig(kp=0.0, ki=0.0),
+                                      ControllerConfig(u_max=0.5),
+                                      ControllerConfig(target_bis=70.0, tf2=0.0)))]
+
+
 class TestLanes:
     """Each lane's bis_measured equals run_closed_loop's bit for bit; a failing
     lane raises run_closed_loop's error, named."""
 
     @settings(max_examples=40, deadline=None)
+    @example(scenarios=CLAMP_LANES)
+    @example(scenarios=CLAMP_LANES[-1:])
     @example(scenarios=[_runs_through(FAILING["out_of_domain"]), FAILING["out_of_domain"]])
     @example(scenarios=[_runs_through(FAILING["hill_overflow"]), FAILING["hill_overflow"]])
     @given(scenarios=LANE_SCENARIOS)
@@ -521,6 +547,21 @@ class TestLanes:
                          for i, (tf1, tf2) in enumerate(tf1_tf2)]
             assert [repr(column) for column in engine._closed_loop_lanes(scenarios).T.tolist()] \
                 == [repr(run_closed_loop(s).bis_measured) for s in scenarios]
+
+
+class TestDiscretePkCache:
+    def test_runs_share_one_discrete_model_per_pk_set_and_step(self):
+        engine._discrete_pk.cache_clear()
+        scenario = Scenario(patient=3, duration=0.5)
+        run_closed_loop(scenario)
+        run_closed_loop(replace(scenario, patient=cohort_member(3)))
+        engine._closed_loop_lanes([scenario])
+        engine._reference_run(scenario)
+        info = engine._discrete_pk.cache_info()
+        # the plant and the internal model, built once and then reused
+        assert (info.misses, info.hits) == (2, 6)
+        assert engine._discrete_pk(cohort_member(3).pk, scenario.h) is \
+            engine._discrete_pk(scenario.patient.pk, scenario.h)
 
 
 def _scalar_error(scenario):

@@ -1,6 +1,8 @@
+import hashlib
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from bisloop import (DEFAULT_TF2_MIN, ControllerConfig, ControllerError, Disturb
                      ModelError, Scenario, ScenarioError, Trajectory, TuningError,
                      ce_bis_curve, cohort_member, degradation_ratio,
                      iae, induction_time, inverse_hill, run_closed_loop, summarize,
-                     tune_tf2)
+                     sweep_csv, tune_tf2)
 from bisloop import metrics
 from bisloop.engine import _closed_loop_lanes
 from bisloop.metrics import _trapezoid_iae, default_tuning_scenario
@@ -54,6 +56,28 @@ class TestIae:
         h = 1 / 600
         oracle = sum(abs(50.0 - b) * h for b in traj.bis_true)
         assert value == pytest.approx(oracle, rel=1e-3)
+
+    @pytest.mark.parametrize("n", [2, 3, metrics._TRAPEZOID_BLOCK - 1, metrics._TRAPEZOID_BLOCK,
+                                   metrics._TRAPEZOID_BLOCK + 1, 1800])
+    @pytest.mark.parametrize("lanes", [None, 1, 2, 52])
+    def test_trapezoid_equals_sequential_loop(self, n, lanes):
+        def sequential(ts, ys):
+            total, prev_t, prev_e = 0.0, ts[0], abs(50.0 - ys[0])
+            for t, y in zip(ts[1:], ys[1:]):
+                e = abs(50.0 - y)
+                total += 0.5 * (e + prev_e) * (t - prev_t)
+                prev_t, prev_e = t, e
+            return total
+
+        rng = np.random.default_rng(n)
+        ts = np.cumsum(rng.uniform(0.001, 0.1, n)).tolist()
+        if lanes is None:
+            ys = rng.normal(50.0, 30.0, n).tolist()
+            assert repr(_trapezoid_iae(ts, ys, 50.0)) == repr(sequential(ts, ys))
+        else:
+            ys = rng.normal(50.0, 30.0, (n, lanes))
+            assert repr(_trapezoid_iae(ts, ys, 50.0).tolist()) == \
+                repr([sequential(ts, column) for column in ys.T.tolist()])
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
@@ -213,6 +237,14 @@ class TestTuneTf2:
         with pytest.raises(ControllerError) as info:
             tune_tf2([0.5], template=template)
         assert str(info.value) == f"patient 10, tf2=0 min: {scalar.value}"
+
+    def test_criterion_7_sweep_pinned(self):
+        # The digests pin the CSV bytes and every bit of the 81 d-values.
+        result = tune_tf2([0.0] + [round(0.25 * i, 10) for i in range(1, 81)], threshold=0.30)
+        assert hashlib.sha256(sweep_csv(result).encode()).hexdigest() == \
+            "bd6d6ebad1152fb377710532a433e83c60ebc736cb8954aefaf5534d4c962b83"
+        assert hashlib.sha256(repr(result.d_values).encode()).hexdigest() == \
+            "7efa5f8d4e8633d02d256c233d40f9cbc49a577391a0a14d1c8e490a5470f6b2"
 
     @pytest.mark.parametrize("h", [40.0, 29.999])
     def test_template_shorter_than_two_steps_rejected(self, h):
