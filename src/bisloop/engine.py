@@ -15,14 +15,15 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, NamedTuple, NoReturn, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
 
 from .control import MODEL_PK, ControllerConfig, ControllerState, controller_step
 from .errors import BisloopError, ControllerError, ModelError, ScenarioError
 from .patient import (AVERAGE_PATIENT_ID, DiscretePk, VirtualPatient, ZERO_STATE, cohort_member,
                       hill_bis)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # DiscretePk(pk, h), built once per (PK set, step) and shared by every run:
 # the cohort and the controller's internal model take 14 entries per h.
@@ -36,6 +37,8 @@ MAX_STEPS = 1_000_000
 def noise_stream(sigma: float, seed: int, n_steps: int) -> np.ndarray:
     """A run's additive Gaussian BIS offsets, one per step: all zero when
     sigma is 0, else default_rng(seed).normal(0, sigma, n_steps)."""
+    import numpy as np
+
     if sigma == 0.0:
         return np.zeros(n_steps)
     return np.random.default_rng(seed).normal(0.0, sigma, n_steps)
@@ -86,6 +89,10 @@ class Scenario:
             raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
         if not 0 <= self.noise <= sys.float_info.max:
             raise ScenarioError(f"noise sigma must be finite and >= 0, got {self.noise}")
+        # Checked whatever the noise, as the parser checks it: a float seed
+        # would otherwise fail inside numpy at a noisy run's first draw.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         for p in self.disturbance:
@@ -153,9 +160,11 @@ def _rate_at(profile: InfusionProfile, t: float) -> float:
 
 
 def _offsets(noise: float, seed: int, n_steps: int) -> Iterable[float]:
-    offsets = noise_stream(noise, seed, n_steps)
-    # A noise-free run's offsets are all +0.0: repeated, not held as a list.
-    return offsets.tolist() if offsets.any() else repeat(0.0, n_steps)
+    # A noise-free run's offsets are all +0.0: repeated, not drawn or held as
+    # a list, so that it never loads numpy.
+    if noise == 0.0:
+        return repeat(0.0, n_steps)
+    return noise_stream(noise, seed, n_steps).tolist()
 
 
 def _failure_prefix(k: int, h: float) -> str:
@@ -373,6 +382,8 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
 def _pulse_table(profile: Sequence[DisturbancePulse], h: float, n_steps: int) -> np.ndarray:
     """disturbance_at(profile, k * h) for k in range(n_steps): each pulse's
     amplitude added, in profile order, at the steps where it is active."""
+    import numpy as np
+
     t = np.arange(n_steps) * h
     sums = np.zeros(n_steps)
     for p in profile:
@@ -380,7 +391,6 @@ def _pulse_table(profile: Sequence[DisturbancePulse], h: float, n_steps: int) ->
     return sums
 
 
-@np.errstate(all="ignore")   # a failing lane's inf and NaN warn nothing
 def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     """run_closed_loop on L noise-free scenarios at once: bis_measured, shape
     (n_steps, L).
@@ -420,151 +430,154 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
       only enters the state rows as gamma[i] * u, added to such a sum, and
       the comparisons of the anti-windup test read -0.0 as +0.0.
     """
-    n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
-    patients = [s.patient for s in scenarios]
-    cfgs = [_named(resolve_controller, s) for s in scenarios]
+    import numpy as np
 
-    def lanes(objs, keys: str) -> list[np.ndarray]:
-        return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
+    with np.errstate(all="ignore"):   # a failing lane's inf and NaN warn nothing
+        n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
+        patients = [s.patient for s in scenarios]
+        cfgs = [_named(resolve_controller, s) for s in scenarios]
 
-    p_e0, p_emax, p_c50g, p_gamma = lanes([p.hill for p in patients], "e0 emax c50g gamma")
-    e0, emax, ce50, gamma = lanes([c.nominal for c in cfgs], "e0 emax ce50 gamma")
-    kp, ki, u_max, tf1, tf2, ce_ref = lanes(cfgs, "kp ki u_max tf1 tf2 ce_ref")
-    # inverse_hill's den is (emax - e0) + bis; its first sum is per lane.
-    emax_e0, inv_gamma = emax - e0, 1.0 / gamma
-    # Constants as lane arrays: a ufunc runs faster on an array operand than a float.
-    zero, hundred, nan, h_lanes = (np.full(n_lanes, v) for v in (0.0, 100.0, np.nan, h))
-    a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
-              for tf in (tf1, tf2))
-    pass1, pass2 = (tf == 0.0 if (tf == 0.0).any() else None for tf in (tf1, tf2))
+        def lanes(objs, keys: str) -> list[np.ndarray]:
+            return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
 
-    # Columns 0..L-1 of the state are the patients, L..2L-1 the controller's
-    # internal models, with one DiscretePk per distinct PK set.  Row i of a
-    # step is (phi[i] . (c1, c2, c3, ce) + gamma[i] * u), summed in that order.
-    pks = [p.pk for p in patients] + [MODEL_PK] * n_lanes
-    models = {pk: _discrete_pk(pk, h) for pk in dict.fromkeys(pks)}
-    step_matrix = np.stack([np.column_stack((models[pk].phi, models[pk].gamma))
-                            for pk in pks], axis=-1)                  # (4, 5, 2L)
+        p_e0, p_emax, p_c50g, p_gamma = lanes([p.hill for p in patients], "e0 emax c50g gamma")
+        e0, emax, ce50, gamma = lanes([c.nominal for c in cfgs], "e0 emax ce50 gamma")
+        kp, ki, u_max, tf1, tf2, ce_ref = lanes(cfgs, "kp ki u_max tf1 tf2 ce_ref")
+        # inverse_hill's den is (emax - e0) + bis; its first sum is per lane.
+        emax_e0, inv_gamma = emax - e0, 1.0 / gamma
+        # Constants as lane arrays: a ufunc runs faster on an array operand than a float.
+        zero, hundred, nan, h_lanes = (np.full(n_lanes, v) for v in (0.0, 100.0, np.nan, h))
+        a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
+                  for tf in (tf1, tf2))
+        pass1, pass2 = (tf == 0.0 if (tf == 0.0).any() else None for tf in (tf1, tf2))
 
-    pulses = _pulse_table(scenarios[0].disturbance, h, n_steps)
-    changes = np.flatnonzero(pulses[1:] != pulses[:-1]) + 1
-    refills = dict(zip(changes.tolist(), pulses[changes].tolist()))
-    pulse = np.full(n_lanes, pulses[0])
+        # Columns 0..L-1 of the state are the patients, L..2L-1 the controller's
+        # internal models, with one DiscretePk per distinct PK set.  Row i of a
+        # step is (phi[i] . (c1, c2, c3, ce) + gamma[i] * u), summed in that order.
+        pks = [p.pk for p in patients] + [MODEL_PK] * n_lanes
+        models = {pk: _discrete_pk(pk, h) for pk in dict.fromkeys(pks)}
+        step_matrix = np.stack([np.column_stack((models[pk].phi, models[pk].gamma))
+                                for pk in pks], axis=-1)                  # (4, 5, 2L)
 
-    # The frame's rows: bt, the two filter outputs, then the plant state c1,
-    # c2, c3, ce and the rate u, each as a patient row and a model row.  The
-    # model's u row holds err until u is copied into it, so that (u, err) is
-    # one (2, L) operand of the anti-windup test.
-    frame = np.zeros((13, n_lanes))
-    bt, bis_f, i_t = frame[:3]
-    state_and_u = frame[3:].reshape(5, 2 * n_lanes)
-    state = state_and_u[:4]
-    ce, ce_model, u, err = frame[9:]
-    u_model, u_err = err, frame[11:]
-    bis_f[:] = p_e0
-    f1_x1 = p_e0.copy()
-    f2_x1, integrator, proposed, x, tmp, den, ratio, kp_err = np.zeros((8, n_lanes))
-    # over = (u > u_max, err > 0) and under = (u < 0, err < 0), by rows.
-    upper, lower = np.stack((u_max, zero)), np.zeros((2, n_lanes))
-    over, under = np.empty((2, 2, n_lanes), dtype=bool)
-    (u_high, err_pos), (u_low, err_neg) = over, under
-    mask, low = np.empty((2, n_lanes), dtype=bool)
-    state_zero, product = np.zeros_like(state), np.empty_like(step_matrix)
-    # The finiteness test covers bt, the filter outputs and the state, lanes
-    # as columns; a non-finite reading or u shows in them within the step.
-    checked = frame[:11]
-    finite = np.empty(checked.shape, dtype=bool)
-    n_checked = finite.size
+        pulses = _pulse_table(scenarios[0].disturbance, h, n_steps)
+        changes = np.flatnonzero(pulses[1:] != pulses[:-1]) + 1
+        refills = dict(zip(changes.tolist(), pulses[changes].tolist()))
+        pulse = np.full(n_lanes, pulses[0])
 
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    float_power, fmax, fmin, copyto = np.float_power, np.fmax, np.fmin, np.copyto
-    greater, less, less_equal = np.greater, np.less, np.less_equal
-    logical_and, logical_or, isfinite, count_nonzero = (np.logical_and, np.logical_or,
-                                                       np.isfinite, np.count_nonzero)
-    reduce_terms = np.add.reduce
+        # The frame's rows: bt, the two filter outputs, then the plant state c1,
+        # c2, c3, ce and the rate u, each as a patient row and a model row.  The
+        # model's u row holds err until u is copied into it, so that (u, err) is
+        # one (2, L) operand of the anti-windup test.
+        frame = np.zeros((13, n_lanes))
+        bt, bis_f, i_t = frame[:3]
+        state_and_u = frame[3:].reshape(5, 2 * n_lanes)
+        state = state_and_u[:4]
+        ce, ce_model, u, err = frame[9:]
+        u_model, u_err = err, frame[11:]
+        bis_f[:] = p_e0
+        f1_x1 = p_e0.copy()
+        f2_x1, integrator, proposed, x, tmp, den, ratio, kp_err = np.zeros((8, n_lanes))
+        # over = (u > u_max, err > 0) and under = (u < 0, err < 0), by rows.
+        upper, lower = np.stack((u_max, zero)), np.zeros((2, n_lanes))
+        over, under = np.empty((2, 2, n_lanes), dtype=bool)
+        (u_high, err_pos), (u_low, err_neg) = over, under
+        mask, low = np.empty((2, n_lanes), dtype=bool)
+        state_zero, product = np.zeros_like(state), np.empty_like(step_matrix)
+        # The finiteness test covers bt, the filter outputs and the state, lanes
+        # as columns; a non-finite reading or u shows in them within the step.
+        checked = frame[:11]
+        finite = np.empty(checked.shape, dtype=bool)
+        n_checked = finite.size
 
-    out = np.empty((n_steps, n_lanes))
-    for step, bm in enumerate(out):
-        if step in refills:
-            pulse.fill(refills[step])
-        # The patient's BIS and the monitor's reading of it.  At ce = 0 this
-        # gives e0 exactly, as hill_bis's ce <= 0 branch does.
-        float_power(ce, p_gamma, x)
-        add(x, p_c50g, tmp)
-        multiply(p_emax, x, x)
-        divide(x, tmp, x)
-        subtract(p_e0, x, bt)
-        add(bt, pulse, bm)
-        fmax(bm, zero, bm)
-        fmin(bm, hundred, bm)
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        float_power, fmax, fmin, copyto = np.float_power, np.fmax, np.fmin, np.copyto
+        greater, less, less_equal = np.greater, np.less, np.less_equal
+        logical_and, logical_or, isfinite, count_nonzero = (np.logical_and, np.logical_or,
+                                                           np.isfinite, np.count_nonzero)
+        reduce_terms = np.add.reduce
 
-        # Pre-filter: lp2_step; tf1 = 0 lanes take bm after each section.
-        subtract(bm, f1_x1, tmp)
-        multiply(a1, tmp, tmp)
-        add(f1_x1, tmp, f1_x1)
-        if pass1 is not None:
-            copyto(f1_x1, bm, where=pass1)
-        subtract(f1_x1, bis_f, tmp)
-        multiply(a1, tmp, tmp)
-        add(bis_f, tmp, bis_f)
-        if pass1 is not None:
-            copyto(bis_f, bm, where=pass1)
+        out = np.empty((n_steps, n_lanes))
+        for step, bm in enumerate(out):
+            if step in refills:
+                pulse.fill(refills[step])
+            # The patient's BIS and the monitor's reading of it.  At ce = 0 this
+            # gives e0 exactly, as hill_bis's ce <= 0 branch does.
+            float_power(ce, p_gamma, x)
+            add(x, p_c50g, tmp)
+            multiply(p_emax, x, x)
+            divide(x, tmp, x)
+            subtract(p_e0, x, bt)
+            add(bt, pulse, bm)
+            fmax(bm, zero, bm)
+            fmin(bm, hundred, bm)
 
-        # Inverse nominal curve.  Readings at or above e0 map to +0.0, as in
-        # inverse_hill.  A validated target keeps den > 0 at every reading
-        # >= e0, so den <= 0 is exactly inverse_hill's out-of-domain case: NaN.
-        add(emax_e0, bis_f, den)
-        subtract(e0, bis_f, ratio)
-        divide(ratio, den, ratio)
-        fmax(ratio, zero, ratio)
-        less_equal(den, zero, mask)
-        copyto(ratio, nan, where=mask)
-        float_power(ratio, inv_gamma, ratio)
-        multiply(ce50, ratio, ratio)
-        subtract(ratio, ce_model, ratio)
+            # Pre-filter: lp2_step; tf1 = 0 lanes take bm after each section.
+            subtract(bm, f1_x1, tmp)
+            multiply(a1, tmp, tmp)
+            add(f1_x1, tmp, f1_x1)
+            if pass1 is not None:
+                copyto(f1_x1, bm, where=pass1)
+            subtract(f1_x1, bis_f, tmp)
+            multiply(a1, tmp, tmp)
+            add(bis_f, tmp, bis_f)
+            if pass1 is not None:
+                copyto(bis_f, bm, where=pass1)
 
-        # Innovation filter on the model discrepancy, as the pre-filter.
-        subtract(ratio, f2_x1, tmp)
-        multiply(a2, tmp, tmp)
-        add(f2_x1, tmp, f2_x1)
-        if pass2 is not None:
-            copyto(f2_x1, ratio, where=pass2)
-        subtract(f2_x1, i_t, tmp)
-        multiply(a2, tmp, tmp)
-        add(i_t, tmp, i_t)
-        if pass2 is not None:
-            copyto(i_t, ratio, where=pass2)
-        add(ce_model, i_t, err)
-        subtract(ce_ref, err, err)
+            # Inverse nominal curve.  Readings at or above e0 map to +0.0, as in
+            # inverse_hill.  A validated target keeps den > 0 at every reading
+            # >= e0, so den <= 0 is exactly inverse_hill's out-of-domain case: NaN.
+            add(emax_e0, bis_f, den)
+            subtract(e0, bis_f, ratio)
+            divide(ratio, den, ratio)
+            fmax(ratio, zero, ratio)
+            less_equal(den, zero, mask)
+            copyto(ratio, nan, where=mask)
+            float_power(ratio, inv_gamma, ratio)
+            multiply(ce50, ratio, ratio)
+            subtract(ratio, ce_model, ratio)
 
-        # The PI law with conditional-integration anti-windup: where
-        # integrating would push further into the active constraint, the
-        # integrator keeps its value.  Either way u is kp * err plus the
-        # integrator's new value, then clamped to [0, u_max].
-        multiply(kp, err, kp_err)
-        multiply(ki, err, proposed)
-        multiply(proposed, h_lanes, proposed)
-        add(integrator, proposed, proposed)
-        add(kp_err, proposed, u)
-        greater(u_err, upper, over)
-        less(u_err, lower, under)
-        logical_and(u_high, err_pos, mask)
-        logical_and(u_low, err_neg, low)
-        logical_or(mask, low, mask)
-        copyto(proposed, integrator, where=mask)
-        integrator, proposed = proposed, integrator
-        add(kp_err, integrator, u)
-        fmax(u, zero, u)
-        fmin(u, u_max, u)
+            # Innovation filter on the model discrepancy, as the pre-filter.
+            subtract(ratio, f2_x1, tmp)
+            multiply(a2, tmp, tmp)
+            add(f2_x1, tmp, f2_x1)
+            if pass2 is not None:
+                copyto(f2_x1, ratio, where=pass2)
+            subtract(f2_x1, i_t, tmp)
+            multiply(a2, tmp, tmp)
+            add(i_t, tmp, i_t)
+            if pass2 is not None:
+                copyto(i_t, ratio, where=pass2)
+            add(ce_model, i_t, err)
+            subtract(ce_ref, err, err)
 
-        # Advance plants and models under u.
-        copyto(u_model, u)
-        multiply(step_matrix, state_and_u, product)
-        reduce_terms(product, axis=1, out=state)
-        if count_nonzero(isfinite(checked, finite)) < n_checked:
-            _named(_explain, scenarios[int(np.argmin(finite.all(axis=0)))], None, step)
-        fmax(state, state_zero, state)
-    return out
+            # The PI law with conditional-integration anti-windup: where
+            # integrating would push further into the active constraint, the
+            # integrator keeps its value.  Either way u is kp * err plus the
+            # integrator's new value, then clamped to [0, u_max].
+            multiply(kp, err, kp_err)
+            multiply(ki, err, proposed)
+            multiply(proposed, h_lanes, proposed)
+            add(integrator, proposed, proposed)
+            add(kp_err, proposed, u)
+            greater(u_err, upper, over)
+            less(u_err, lower, under)
+            logical_and(u_high, err_pos, mask)
+            logical_and(u_low, err_neg, low)
+            logical_or(mask, low, mask)
+            copyto(proposed, integrator, where=mask)
+            integrator, proposed = proposed, integrator
+            add(kp_err, integrator, u)
+            fmax(u, zero, u)
+            fmin(u, u_max, u)
+
+            # Advance plants and models under u.
+            copyto(u_model, u)
+            multiply(step_matrix, state_and_u, product)
+            reduce_terms(product, axis=1, out=state)
+            if count_nonzero(isfinite(checked, finite)) < n_checked:
+                _named(_explain, scenarios[int(np.argmin(finite.all(axis=0)))], None, step)
+            fmax(state, state_zero, state)
+        return out
 
 
 def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .engine import DisturbancePulse, Scenario, Trajectory, _closed_loop_lanes
 from .errors import BisloopError, ScenarioError
 from .patient import VirtualPatient, builtin_cohort, hill_bis
@@ -47,6 +45,8 @@ def _trapezoid_iae(ts, ys, target_bis: float):
     with the running total.  (np.add.reduce would sum a single lane
     pairwise and change the bits.)
     """
+    import numpy as np
+
     ts, ys = np.asarray(ts, dtype=float), np.asarray(ys, dtype=float)
     n, lanes = len(ys), ys.shape[1:]
     dt = np.diff(ts).reshape((-1,) + (1,) * len(lanes))
@@ -69,19 +69,20 @@ def _trapezoid_iae(ts, ys, target_bis: float):
 
 def induction_time(traj: Trajectory, target_bis: float) -> float | None:
     """Earliest time the drug-effect BIS (bis_true) settles into the target
-    band.
+    band: t at the settling index, or None when the band is never held.
 
-    Settling requires the signal to stay within +/-INDUCTION_BAND for the
-    following INDUCTION_HOLD_MIN and never to leave +/-2*INDUCTION_BAND
-    afterwards until the end of the run.  Returns None when the band is
-    never held.
+    The settling index is the first step i such that every sample with
+    t[i] <= t <= t[i] + INDUCTION_HOLD_MIN lies within target_bis +/-
+    INDUCTION_BAND (a run that ends inside that window counts as holding
+    it) and every sample from i to the end of the run lies within
+    target_bis +/- 2*INDUCTION_BAND.
     """
     i = _settling_index(traj, target_bis)
     return None if i is None else traj.t[i]
 
 
 def _settling_index(traj: Trajectory, target_bis: float) -> int | None:
-    """The step at which induction_time's band is first held, or None."""
+    """induction_time's settling index, or None."""
     ys, ts, band = traj.bis_true, traj.t, INDUCTION_BAND
     n = len(ts)
     lo, hi = target_bis - band, target_bis + band
@@ -117,7 +118,14 @@ class MetricsReport:
 
 
 def summarize(traj: Trajectory, target_bis: float) -> MetricsReport:
-    """The run's headline numbers, all scored on the drug-effect BIS."""
+    """The run's headline numbers, all scored on the drug-effect BIS.
+
+    induction_time is t at induction_time's settling index.
+    min_bis_post_crossing is the minimum from that index to the end of the
+    run, so it never reads below target_bis - 2*INDUCTION_BAND: a dip below
+    that before the signal settles (an induction undershoot) does not show
+    in it.  Both are None when the band is never held.
+    """
     ys = traj.bis_true
     # t rises strictly, so the steps from the settling index on are those
     # at or after the induction time.

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ModelError, NonPhysicalParameterError
 
 # Effect-site equilibration constant: drug transfer into the effect site is
@@ -252,17 +250,40 @@ def pk_derivatives(state: PatientState, u: float, pk: PkParams) -> PatientState:
     )
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
+def _matmul(x: list[list[float]], y: list[list[float]]) -> list[list[float]]:
+    """x @ y, each entry summed left to right from 0.0 (a loop: sum() rounds
+    differently from Python 3.12 on)."""
+    cols = list(zip(*y))
+    out = []
+    for row in x:
+        out_row = []
+        for col in cols:
+            total = 0.0
+            for a, b in zip(row, col):
+                total += a * b
+            out_row.append(total)
+        out.append(out_row)
+    return out
+
+
+def _expm(m: list[list[float]]) -> list[list[float]]:
     """exp(m) by scaling and squaring (Higham 2005): m is scaled by 2^-s to a
     1-norm <= 1/2, where 18 Taylor terms err below 1e-21, then squared s times."""
-    s = max(0, int(np.frexp(np.abs(m).sum(axis=0).max())[1]) + 1)
-    a = np.ldexp(m, -s)
-    term = out = np.eye(len(m))
+    norm = 0.0
+    for col in zip(*m):
+        total = 0.0
+        for v in col:
+            total += abs(v)
+        norm = max(norm, total)
+    s = max(0, math.frexp(norm)[1] + 1)
+    a = [[math.ldexp(v, -s) for v in row] for row in m]
+    n = len(m)
+    term = out = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for k in range(1, 19):
-        term = term @ a / k
-        out = out + term
+        term = [[v / k for v in row] for row in _matmul(term, a)]
+        out = [[p + q for p, q in zip(r, t)] for r, t in zip(out, term)]
     for _ in range(s):
-        out = out @ out
+        out = _matmul(out, out)
     return out
 
 
@@ -284,13 +305,14 @@ class DiscretePk:
     def __post_init__(self):
         if not 0 < self.h < math.inf:
             raise ModelError(f"step size must be finite and positive, got {self.h}")
-        m = np.zeros((5, 5))
-        for j, unit in enumerate(np.eye(4)):
-            m[:4, j] = pk_derivatives(PatientState(*unit), 0.0, self.pk)
-        m[:4, 4] = pk_derivatives(ZERO_STATE, 1.0, self.pk)
-        e = _expm(m * self.h)
-        object.__setattr__(self, "phi", tuple(tuple(map(float, row)) for row in e[:4, :4]))
-        object.__setattr__(self, "gamma", tuple(map(float, e[:4, 4])))
+        # Columns of [[A, B], [0, 0]]: the derivatives at each unit state, u = 0,
+        # then at the zero state under u = 1.
+        units = [PatientState(*(float(i == j) for i in range(4))) for j in range(4)]
+        columns = [pk_derivatives(x, 0.0, self.pk) for x in units]
+        columns.append(pk_derivatives(ZERO_STATE, 1.0, self.pk))
+        e = _expm([[v * self.h for v in row] for row in zip(*columns)] + [[0.0] * 5])
+        object.__setattr__(self, "phi", tuple(tuple(row[:4]) for row in e[:4]))
+        object.__setattr__(self, "gamma", tuple(row[4] for row in e[:4]))
 
     def step(self, state: PatientState, u: float) -> PatientState:
         """The state h minutes on under the rate u (mg/min).  Round-off negatives

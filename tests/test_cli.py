@@ -30,6 +30,15 @@ P13 = {"id": 13, "age": 38, "height_cm": 169, "weight_kg": 65, "sex": "F",
        "ce50": 7.42, "gamma": 2, "e0": 93.1, "emax": 96.58}
 
 
+def run_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    """A child interpreter run with this bisloop's src/ on its path."""
+    src = str(Path(bisloop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          **kwargs)
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     def make(doc, name="scenario.json"):
@@ -292,13 +301,9 @@ class TestCohortCommand:
 
     def test_hill_overflow_exits_3_with_one_stderr_line(self, scenario_file):
         # a child process, so that a numpy RuntimeWarning would reach its stderr
-        src = str(Path(bisloop.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from bisloop.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "cohort", "--scenario",
-             scenario_file(HILL_OVERFLOW)], capture_output=True, text=True, env=env)
+        proc = run_python("-c", "import sys; from bisloop.cli import main; "
+                          "sys.exit(main(sys.argv[1:]))", "cohort", "--scenario",
+                          scenario_file(HILL_OVERFLOW))
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: patient 1, tf2=0.163118 min: "
                                       "step 1 (t=0.0167 min): Hill curve overflows: ce=")
@@ -445,3 +450,28 @@ class TestCurveCommand:
     def test_non_finite_ce_max_exits_1(self, capsys, ce_max):
         assert main(["curve", "--patient", "13", "--ce-max", ce_max]) == 1
         assert "ce_max must be finite and positive" in capsys.readouterr().err
+
+
+class TestNumpyStaysUnloaded:
+    """Only array work loads numpy: import, the cohort table, the curve and
+    noise-free runs stay scalar.  Each case runs in a fresh interpreter."""
+
+    @pytest.mark.parametrize("code, loads_numpy", [
+        ("import bisloop, bisloop.cli; bisloop.builtin_cohort()", False),
+        ("assert main(['list-patients', '--out', 'out.csv']) == 0", False),
+        ("assert main(['curve', '--patient', '13', '--out', 'out.csv']) == 0", False),
+        ("assert main(['simulate', '--scenario', 'quiet.json', '--out', 'out.csv']) == 0", False),
+        ("assert main(['open-loop', '--patient', '13', '--rate', '10', '--duration', '60', "
+         "'--out', 'out.csv']) == 0", False),
+        # the control: a noisy run draws its noise with numpy
+        ("assert main(['simulate', '--scenario', 'noisy.json', '--out', 'out.csv']) == 0", True),
+    ], ids=["import", "list-patients", "curve", "simulate-quiet", "open-loop",
+            "simulate-noisy"])
+    def test_numpy_loaded_only_by_array_work(self, tmp_path, code, loads_numpy):
+        (tmp_path / "quiet.json").write_text("{}")
+        (tmp_path / "noisy.json").write_text(
+            '{"duration_min": 1, "noise": {"kind": "gaussian", "sigma_bis": 2.0}}')
+        proc = run_python("-c", f"import sys\nfrom bisloop.cli import main\n{code}\n"
+                          "print('numpy' in sys.modules)", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{loads_numpy}\n"

@@ -634,6 +634,14 @@ class TestScenarioValidation:
         ({"seed": -1, "noise": 2.0}, "seed must be >= 0"),
         ({"duration": 10**400}, "duration must be finite"),
         ({"h": 10**400}, "h must be finite"),
+        # the parser's integer rule, whatever the noise: a noisy run would
+        # otherwise fail inside numpy at its first draw
+        ({"seed": 1.5, "noise": 1.0}, "seed must be an integer"),
+        ({"seed": math.nan, "noise": 1.0}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": math.nan}, "seed must be an integer"),
+        ({"seed": 2.0}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
     ])
     def test_non_finite_settings_and_negative_seed_rejected(self, kwargs, match):
         with pytest.raises(ScenarioError, match=match):

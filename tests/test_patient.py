@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from bisloop import (Demographics, DiscretePk, HillParams, ModelError,
                      builtin_cohort, cohort_member, derive_pk_params, hill_bis,
                      lean_body_mass, pk_derivatives)
 from bisloop.control import MODEL_PK
+from bisloop.patient import ZERO_STATE
 
 P13_DEMO = Demographics(age=38, height_cm=169.0, weight_kg=65.0, sex=Sex.FEMALE)
 P13_HILL = HillParams(e0=93.1, emax=96.58, ce50=7.42, gamma=3.00)
@@ -250,6 +252,55 @@ class TestStepRk4:
         got = model.step(PatientState(*state), u)
         assert type(got) is PatientState
         assert [v.hex() for v in got] == [v.hex() for v in step_reference(model, state, u)]
+
+
+def numpy_expm(m):
+    """The scaling-and-squaring exponential as it was written with numpy, the
+    products by its matmul."""
+    s = max(0, int(np.frexp(np.abs(m).sum(axis=0).max())[1]) + 1)
+    a = np.ldexp(m, -s)
+    term = out = np.eye(len(m))
+    for k in range(1, 19):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def numpy_phi_gamma(pk, h):
+    """DiscretePk's phi and gamma, rows (phi[i], gamma[i]), from numpy_expm."""
+    m = np.zeros((5, 5))
+    for j, unit in enumerate(np.eye(4)):
+        m[:4, j] = pk_derivatives(PatientState(*unit), 0.0, pk)
+    m[:4, 4] = pk_derivatives(ZERO_STATE, 1.0, pk)
+    return numpy_expm(m * h)[:4].tolist()
+
+
+def phi_gamma(pk, h):
+    model = DiscretePk(pk, h)
+    return [[*row, g] for row, g in zip(model.phi, model.gamma)]
+
+
+EXPM_PKS = [pytest.param(p.pk, id=f"patient_{p.id}") for p in builtin_cohort()] + \
+    [pytest.param(MODEL_PK, id="model_pk")]
+
+
+class TestExpm:
+    """The pure-Python exponential behind DiscretePk against numpy's."""
+
+    @pytest.mark.parametrize("pk", EXPM_PKS)
+    def test_default_h_bit_identical_to_numpy(self, pk):
+        h = 1.0 / 60.0
+        assert [[v.hex() for v in row] for row in phi_gamma(pk, h)] == \
+            [[v.hex() for v in row] for row in numpy_phi_gamma(pk, h)]
+
+    @pytest.mark.parametrize("h", [0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("pk", EXPM_PKS)
+    def test_other_h_within_1e14_of_numpy(self, pk, h):
+        for got, want in zip(phi_gamma(pk, h), numpy_phi_gamma(pk, h)):
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-14 * abs(b)
 
 
 class TestHillBis:
