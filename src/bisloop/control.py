@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .errors import ControllerError
+from .errors import ControllerError, is_number
 from .patient import (AVERAGE_PATIENT_ID, DiscretePk, HillParams, PatientState, ZERO_STATE,
                       cohort_member)
 
@@ -103,10 +103,11 @@ class ControllerConfig:
     population curve at that e0, and ce_ref, the concentration the loop
     tracks, is that curve's inverse at target_bis (mg/L); both are derived
     at construction (None while nominal_e0 is).  An e0 outside (0, 100]
-    raises ModelError.  A gain or filter constant that is negative or not
-    finite, a u_max that is not finite and positive, or a target_bis that is
-    not finite raises ControllerError; so does, once nominal_e0 is set, a
-    target_bis outside (0, e0) or below the nominal curve's reach e0 - emax.
+    raises ModelError.  A number field that is a bool or not a real number,
+    a gain or filter constant that is negative or not finite, a u_max that
+    is not finite and positive, or a target_bis that is not finite raises
+    ControllerError; so does, once nominal_e0 is set, a target_bis outside
+    (0, e0) or below the nominal curve's reach e0 - emax.
     """
 
     target_bis: float = 50.0
@@ -120,6 +121,10 @@ class ControllerConfig:
     ce_ref: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("target_bis", "tf1", "tf2", "kp", "ki", "u_max", "nominal_e0"):
+            value = getattr(self, name)
+            if not is_number(value) and (value is not None or name != "nominal_e0"):
+                raise ControllerError(f"{name} must be a number, got {value!r}")
         for name in ("tf1", "tf2", "kp", "ki"):
             value = getattr(self, name)
             if not 0 <= value <= sys.float_info.max:

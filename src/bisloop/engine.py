@@ -18,7 +18,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
 
 from .control import MODEL_PK, ControllerConfig, ControllerState, controller_step
-from .errors import BisloopError, ControllerError, ModelError, ScenarioError
+from .errors import BisloopError, ControllerError, ModelError, ScenarioError, is_number
 from .patient import (AVERAGE_PATIENT_ID, DiscretePk, VirtualPatient, ZERO_STATE, cohort_member,
                       hill_bis)
 
@@ -35,12 +35,11 @@ MAX_STEPS = 1_000_000
 
 
 def noise_stream(sigma: float, seed: int, n_steps: int) -> np.ndarray:
-    """A run's additive Gaussian BIS offsets, one per step: all zero when
-    sigma is 0, else default_rng(seed).normal(0, sigma, n_steps)."""
+    """A run's additive Gaussian BIS offsets, one per step:
+    default_rng(seed).normal(0, sigma, n_steps).  At sigma 0 each offset is
+    0 + 0 * z, which is +0.0; a noise-free run does not call it (_offsets)."""
     import numpy as np
 
-    if sigma == 0.0:
-        return np.zeros(n_steps)
     return np.random.default_rng(seed).normal(0.0, sigma, n_steps)
 
 
@@ -77,6 +76,9 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("duration", "h", "noise"):
+            if not is_number(value := getattr(self, name)):
+                raise ScenarioError(f"{name} must be a number, got {value!r}")
         duration, h = self.duration, self.h
         for name, value in (("duration", duration), ("h", h)):
             if not 0 < value <= sys.float_info.max:
@@ -95,11 +97,13 @@ class Scenario:
             raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "disturbance", tuple(self.disturbance))
         for p in self.disturbance:
-            if not (abs(p.start) <= sys.float_info.max and 0 < p.duration <= sys.float_info.max
-                    and abs(p.amplitude) <= sys.float_info.max):
-                raise ScenarioError(f"disturbance pulse needs a finite start and amplitude and "
-                                    f"a finite, positive duration, got {p}")
+            if not (isinstance(p, DisturbancePulse)
+                    and all(is_number(v) and abs(v) <= sys.float_info.max for v in p)
+                    and p.duration > 0):
+                raise ScenarioError(f"disturbance pulse must be a DisturbancePulse of finite "
+                                    f"numbers with a positive duration, got {p!r}")
         if not isinstance(self.patient, VirtualPatient):
             object.__setattr__(self, "patient", cohort_member(self.patient))
 
@@ -150,18 +154,18 @@ InfusionProfile = Sequence[tuple[float, float]]
 
 def _rate_at(profile: InfusionProfile, t: float) -> float:
     """Piecewise-constant rate: last breakpoint at or before t wins."""
-    rate = 0.0
-    for start, r in profile:
-        if start <= t:
-            rate = r
-        else:
-            break
-    return rate
+    return next((rate for start, rate in reversed(profile) if start <= t), 0.0)
+
+
+def _edges(disturbance: Sequence[DisturbancePulse], starts: Iterable[float] = ()) -> list[float]:
+    """The sorted pulse starts and ends and breakpoint starts, then math.inf:
+    where the fast loops re-read disturbance_at (and _rate_at)."""
+    edges = {p.start for p in disturbance} | {p.start + p.duration for p in disturbance}
+    return sorted(edges.union(starts)) + [math.inf]
 
 
 def _offsets(noise: float, seed: int, n_steps: int) -> Iterable[float]:
-    # A noise-free run's offsets are all +0.0: repeated, not drawn or held as
-    # a list, so that it never loads numpy.
+    # The one test of a noise-free run: its offsets are +0.0 repeated, no numpy.
     if noise == 0.0:
         return repeat(0.0, n_steps)
     return noise_stream(noise, seed, n_steps).tolist()
@@ -252,7 +256,7 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
     curve's emax - e0 and 1/gamma, each filter's 1 - exp(-h/tf) (or
     passthrough at tf = 0), the gains and ce_ref.  The pulse sum and the
     open-loop rate are re-read from disturbance_at and _rate_at only at
-    steps reaching one of their edges; in between they are constant.  Each
+    steps reaching one of their _edges; in between they are constant.  Each
     step repeats the reference's float operations in its order, so the two
     agree bit for bit.  Open loop (profile given) is the same loop with the
     controller block off.
@@ -270,8 +274,8 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
     (p11, p12, p13, p14), (p21, p22, p23, p24), (p31, p32, p33, p34), \
         (p41, p42, p43, p44) = plant.phi
     g1, g2, g3, g4 = plant.gamma
-    edges = {p.start for p in disturbance} | {p.start + p.duration for p in disturbance}
     closed = profile is None
+    edges = _edges(disturbance, () if closed else (start for start, _ in profile))
     if closed:
         cfg = resolve_controller(scenario)
         nominal = cfg.nominal
@@ -289,8 +293,6 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
         f2x1 = f2x2 = integrator = m1 = m2 = m3 = m4 = 0.0
     else:
         bis_f = ce_model = i_t = ce_ref = None
-        edges.update(start for start, _ in profile)
-    edges = sorted(edges) + [math.inf]
     edge = edges[0]
     d = u = c1 = c2 = c3 = ce = 0.0
     values: list[float | None] = []
@@ -379,18 +381,6 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
     return _run(scenario)
 
 
-def _pulse_table(profile: Sequence[DisturbancePulse], h: float, n_steps: int) -> np.ndarray:
-    """disturbance_at(profile, k * h) for k in range(n_steps): each pulse's
-    amplitude added, in profile order, at the steps where it is active."""
-    import numpy as np
-
-    t = np.arange(n_steps) * h
-    sums = np.zeros(n_steps)
-    for p in profile:
-        np.add(sums, p.amplitude, sums, where=(p.start <= t) & (t < p.start + p.duration))
-    return sums
-
-
 def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     """run_closed_loop on L noise-free scenarios at once: bis_measured, shape
     (n_steps, L).
@@ -410,10 +400,9 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     Each step is a fixed sequence of ufunc calls, bound to locals, writing
     into buffers built once per run: the other signals live in one frame,
     which also holds the plant state in place, and each step computes its
-    measured BIS in its own row of the output.  What does not change per
-    step is decided once: the pulse sum of each step (its full-width row is
-    refilled only where the sum changes), the per-lane constants, and
-    whether a filter has passthrough lanes to overwrite.
+    measured BIS in its own row of the output.  The per-lane constants, and
+    whether a filter has passthrough lanes to overwrite, are decided once;
+    the pulse sum's row is refilled at _edges, as in the scalar loop.
 
     The clamps of the measured BIS, u and the state are np.fmax and np.fmin,
     which differ from the scalar loop's comparisons only at NaN and at
@@ -452,17 +441,12 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
         pass1, pass2 = (tf == 0.0 if (tf == 0.0).any() else None for tf in (tf1, tf2))
 
         # Columns 0..L-1 of the state are the patients, L..2L-1 the controller's
-        # internal models, with one DiscretePk per distinct PK set.  Row i of a
-        # step is (phi[i] . (c1, c2, c3, ce) + gamma[i] * u), summed in that order.
-        pks = [p.pk for p in patients] + [MODEL_PK] * n_lanes
-        models = {pk: _discrete_pk(pk, h) for pk in dict.fromkeys(pks)}
-        step_matrix = np.stack([np.column_stack((models[pk].phi, models[pk].gamma))
-                                for pk in pks], axis=-1)                  # (4, 5, 2L)
-
-        pulses = _pulse_table(scenarios[0].disturbance, h, n_steps)
-        changes = np.flatnonzero(pulses[1:] != pulses[:-1]) + 1
-        refills = dict(zip(changes.tolist(), pulses[changes].tolist()))
-        pulse = np.full(n_lanes, pulses[0])
+        # internal models, each _discrete_pk(pk, h) as in the scalar loops.  Row i
+        # of a (4, 5, 2L) step is phi[i] . (c1, c2, c3, ce) + gamma[i] * u, in that order.
+        models = [_discrete_pk(pk, h) for pk in [p.pk for p in patients] + [MODEL_PK] * n_lanes]
+        step_matrix = np.stack([np.column_stack((m.phi, m.gamma)) for m in models], axis=-1)
+        edges = _edges(disturbance := scenarios[0].disturbance)
+        edge = edges[0]
 
         # The frame's rows: bt, the two filter outputs, then the plant state c1,
         # c2, c3, ce and the rate u, each as a patient row and a model row.  The
@@ -476,7 +460,7 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
         u_model, u_err = err, frame[11:]
         bis_f[:] = p_e0
         f1_x1 = p_e0.copy()
-        f2_x1, integrator, proposed, x, tmp, den, ratio, kp_err = np.zeros((8, n_lanes))
+        f2_x1, integrator, proposed, x, tmp, den, ratio, kp_err, pulse = np.zeros((9, n_lanes))
         # over = (u > u_max, err > 0) and under = (u < 0, err < 0), by rows.
         upper, lower = np.stack((u_max, zero)), np.zeros((2, n_lanes))
         over, under = np.empty((2, 2, n_lanes), dtype=bool)
@@ -498,8 +482,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
 
         out = np.empty((n_steps, n_lanes))
         for step, bm in enumerate(out):
-            if step in refills:
-                pulse.fill(refills[step])
+            t = step * h
+            if t >= edge:
+                pulse.fill(disturbance_at(disturbance, t))
+                edge = edges[bisect_right(edges, t)]
             # The patient's BIS and the monitor's reading of it.  At ce = 0 this
             # gives e0 exactly, as hill_bis's ce <= 0 branch does.
             float_power(ce, p_gamma, x)
@@ -593,14 +579,15 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     run's other settings are checked as the Scenario it runs.
     """
     scenario = Scenario(patient, duration=duration, h=h, noise=noise,
-                        disturbance=tuple(disturbance), seed=seed)
+                        disturbance=disturbance, seed=seed)
     if isinstance(profile, (int, float)):
         profile = ((0.0, profile),)
     # Checked before float(), which raises OverflowError beyond the float range.
-    if not all(0 <= r <= sys.float_info.max for _, r in profile):
-        raise ScenarioError("infusion rates must be >= 0 and finite")
+    if not all(is_number(r) and 0 <= r <= sys.float_info.max for _, r in profile):
+        raise ScenarioError("infusion rates must be >= 0 and finite numbers")
     starts = [s for s, _ in profile]
-    if not all(abs(s) <= sys.float_info.max for s in starts) or starts != sorted(starts):
+    if not all(is_number(s) and abs(s) <= sys.float_info.max for s in starts) or \
+            starts != sorted(starts):
         raise ScenarioError(f"breakpoint starts must be finite and non-decreasing, got {starts}")
     profile = tuple((float(s), float(r)) for s, r in profile)
     return _run(scenario, profile)

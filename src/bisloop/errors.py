@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number rule of its checks."""
+
+from numbers import Real
+
+
+def is_number(value) -> bool:
+    """A real number and not a bool: the rule of every checked number."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 class BisloopError(Exception):

@@ -15,7 +15,7 @@ from typing import Any
 
 from .control import ControllerConfig
 from .engine import TRAJECTORY_FIELDS, DisturbancePulse, Scenario, Trajectory
-from .errors import ModelError, ScenarioError
+from .errors import ModelError, ScenarioError, is_number
 from .metrics import MetricsReport, SweepResult
 from .patient import (Demographics, HillParams, PkPreset, Sex, VirtualPatient,
                       builtin_cohort, cohort_member)
@@ -62,7 +62,7 @@ def _number(obj: dict, key: str, where: str, default: float | None = None,
             raise ScenarioError(f"{where}.{key}: required")
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not is_number(v):
         raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
     try:
         v = float(v)

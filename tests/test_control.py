@@ -201,6 +201,13 @@ class TestControllerStep:
             with pytest.raises(ControllerError, match=f"^{field} must be finite"):
                 ControllerConfig(nominal_e0=nominal_e0, **{field: value})
 
+    @pytest.mark.parametrize("field", ["target_bis", "tf1", "tf2", "kp", "ki", "u_max",
+                                       "nominal_e0"])
+    @pytest.mark.parametrize("value", [True, False, "1"])
+    def test_bool_or_non_number_setting_rejected(self, field, value):
+        with pytest.raises(ControllerError, match=f"^{field} must be a number, got {value!r}"):
+            ControllerConfig(**{field: value})
+
     @pytest.mark.parametrize("target", [3.0, 93.1 - 87.5])
     def test_unreachable_target_rejected(self, target):
         # the nominal curve bottoms out at e0 - emax = 5.6, checked also when

@@ -31,18 +31,6 @@ class TestDisturbance:
         pulses = (DisturbancePulse(10.0, 5.0, 10.0), DisturbancePulse(12.0, 5.0, -4.0))
         assert disturbance_at(pulses, 13.0) == 6.0
 
-    # Overlapping pulses whose edges land exactly on k * h (h = 0.25), a pulse
-    # that starts before 0, and the tuning scenario's pulse at the default step.
-    @pytest.mark.parametrize("profile, h, n_steps", [
-        ((DisturbancePulse(0.5, 1.0, 10.0), DisturbancePulse(1.0, 0.75, -4.0),
-          DisturbancePulse(1.25, 0.25, 2.5)), 0.25, 12),
-        ((DisturbancePulse(-1.0, 1.5, 7.0), DisturbancePulse(0.2, 0.1, -3.0)), 1.0 / 60.0, 60),
-        (default_tuning_scenario().disturbance, 1.0 / 60.0, 1800),
-    ])
-    def test_pulse_table_equals_disturbance_at(self, profile, h, n_steps):
-        assert repr(engine._pulse_table(profile, h, n_steps).tolist()) == \
-            repr([disturbance_at(profile, k * h) for k in range(n_steps)])
-
 
 class TestNoise:
     def test_none_model(self):
@@ -50,6 +38,11 @@ class TestNoise:
 
     def test_zero_sigma(self):
         assert noise_stream(0.0, 0, 5).tolist() == [0.0] * 5
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**32])
+    def test_zero_sigma_offsets_are_positive_zero(self, seed):
+        # == cannot tell -0.0 from +0.0; the sign bit can
+        assert all(math.copysign(1.0, v) == 1.0 for v in noise_stream(0.0, seed, 1000).tolist())
 
     def test_large_sample_statistics(self):
         samples = noise_stream(2.0, 0, 1_000_000)
@@ -246,6 +239,14 @@ class TestOpenLoop:
         with pytest.raises(ScenarioError, match="breakpoint starts must be finite"):
             run_open_loop(cohort_member(13), profile, duration=20.0)
 
+    @pytest.mark.parametrize("profile, match", [
+        (True, "infusion rates"), (((0.0, False),), "infusion rates"),
+        (((0.0, "5"),), "infusion rates"), (((True, 5.0),), "breakpoint starts"),
+        (((0.0, 5.0), ("1", 3.0)), "breakpoint starts")])
+    def test_bool_or_non_number_rates_and_starts_rejected(self, profile, match):
+        with pytest.raises(ScenarioError, match=match):
+            run_open_loop(cohort_member(13), profile, duration=1.0)
+
     def test_breakpoints_sharing_a_start_last_wins(self):
         traj = run_open_loop(cohort_member(13), ((0.0, 5.0), (0.0, 3.0), (0.5, 7.0)),
                              duration=1.0)
@@ -318,6 +319,24 @@ FAILING = {
                                 controller=ControllerConfig(kp=1e300, u_max=1e156,
                                                             nominal_e0=80.0)),
 }
+
+
+# Pulse profiles at their edges: overlapping pulses whose edges land exactly
+# on k * h (h = 0.25), a pulse that starts before 0, the tuning scenario's
+# pulse at the default step, a pulse that ends at exactly t = 0 and one whose
+# end overflows to inf.
+EDGE_RUNS = [
+    Scenario(patient=13, duration=3.0, h=0.25,
+             disturbance=(DisturbancePulse(0.5, 1.0, 10.0), DisturbancePulse(1.0, 0.75, -4.0),
+                          DisturbancePulse(1.25, 0.25, 2.5))),
+    Scenario(patient=13, duration=1.0,
+             disturbance=(DisturbancePulse(-1.0, 1.5, 7.0), DisturbancePulse(0.2, 0.1, -3.0))),
+    default_tuning_scenario(),
+    Scenario(patient=13, duration=1.0, disturbance=(DisturbancePulse(-1e308, 1e308, 5.0),
+                                                    DisturbancePulse(0.25, 0.5, 10.0))),
+    Scenario(patient=13, duration=1.0, disturbance=(DisturbancePulse(0.25, 0.5, 10.0),
+                                                    DisturbancePulse(1e308, 1e308, -5.0))),
+]
 
 
 def _runs_through(scenario):
@@ -429,6 +448,11 @@ class TestScalarKernel:
     every column bit for bit, or the same error type and message."""
 
     @settings(max_examples=60, deadline=None)
+    @example(scenario=EDGE_RUNS[0])
+    @example(scenario=EDGE_RUNS[1])
+    @example(scenario=EDGE_RUNS[2])
+    @example(scenario=EDGE_RUNS[3])
+    @example(scenario=EDGE_RUNS[4])
     @given(scenario=st.builds(Scenario, patient=st.integers(1, 13), controller=KERNEL_CONTROLLERS,
                               duration=st.floats(0.1, 2.0), h=STEPS, noise=st.floats(0.0, 8.0),
                               disturbance=PULSES, seed=st.integers(0, 2**32)))
@@ -548,6 +572,15 @@ class TestLanes:
             assert [repr(column) for column in engine._closed_loop_lanes(scenarios).T.tolist()] \
                 == [repr(run_closed_loop(s).bis_measured) for s in scenarios]
 
+    @pytest.mark.parametrize("template", EDGE_RUNS)
+    def test_pulse_edges_equal_run_closed_loop(self, template):
+        # Each lane re-reads disturbance_at at the steps reaching a pulse edge,
+        # as run_closed_loop does.
+        scenarios = [replace(template, patient=patient, controller=ControllerConfig(tf2=tf2))
+                     for patient, tf2 in ((1, 0.0), (7, 0.5), (13, DEFAULT_TF2_MIN))]
+        assert [repr(column) for column in engine._closed_loop_lanes(scenarios).T.tolist()] \
+            == [repr(run_closed_loop(s).bis_measured) for s in scenarios]
+
 
 class TestDiscretePkCache:
     def test_runs_share_one_discrete_model_per_pk_set_and_step(self):
@@ -646,6 +679,26 @@ class TestScenarioValidation:
     def test_non_finite_settings_and_negative_seed_rejected(self, kwargs, match):
         with pytest.raises(ScenarioError, match=match):
             Scenario(patient=13, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"noise": True, "duration": True}, "duration must be a number, got True"),
+        ({"h": True}, "h must be a number, got True"),
+        ({"noise": True}, "noise must be a number, got True"),
+        ({"duration": "60"}, "duration must be a number"),
+        ({"noise": None}, "noise must be a number"),
+        ({"disturbance": (DisturbancePulse(True, True, True),)}, "disturbance pulse must be a"),
+        ({"disturbance": (DisturbancePulse(0.1, "0.2", 5.0),)}, "disturbance pulse must be a"),
+        ({"disturbance": ((0.1, 0.2, 5.0),)}, "disturbance pulse must be a DisturbancePulse"),
+    ])
+    def test_bool_or_non_number_settings_rejected(self, kwargs, match):
+        # the parser's "expected a number", for a Scenario built in Python
+        with pytest.raises(ScenarioError, match=match):
+            Scenario(patient=13, **kwargs)
+
+    def test_disturbance_is_stored_as_a_tuple(self):
+        pulse = DisturbancePulse(0.1, 0.2, 5.0)
+        assert Scenario(disturbance=[pulse]) == Scenario(disturbance=(pulse,))
+        assert Scenario(disturbance=[pulse]).disturbance == (pulse,)
 
     @pytest.mark.parametrize("duration, h", [(1e12, 1 / 60), (1e10, 1e-300)])
     def test_step_budget_enforced(self, duration, h):
