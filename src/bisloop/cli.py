@@ -26,6 +26,11 @@ EXIT_PARSE = 2
 EXIT_MODEL = 3
 EXIT_CONTROLLER = 4
 
+# Each error type's exit code; the first type the error is an instance of wins.
+_EXIT_CODES = ((ScenarioError, EXIT_PARSE), (ModelError, EXIT_MODEL),
+               (ControllerError, EXIT_CONTROLLER), (TuningError, EXIT_GENERIC),
+               (ValueError, EXIT_GENERIC))
+
 
 def _emit(text: str, out: str | None):
     if out:
@@ -203,18 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as e:
+    except tuple(error for error, _ in _EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ModelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MODEL
-    except ControllerError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONTROLLER
-    except (TuningError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_GENERIC
+        return next(code for error, code in _EXIT_CODES if isinstance(e, error))
 
 
 if __name__ == "__main__":

@@ -16,10 +16,9 @@ the internal model is one fixed PK set, the cohort's average individual.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
-from .errors import ControllerError, is_number
+from .errors import ControllerError, is_number, require
 from .patient import (AVERAGE_PATIENT_ID, DiscretePk, HillParams, PatientState, ZERO_STATE,
                       cohort_member)
 
@@ -70,8 +69,7 @@ class Lp2State:
     x2: float = 0.0
 
     def __post_init__(self):
-        if self.tf < 0:
-            raise ControllerError(f"filter time constant must be >= 0, got {self.tf}")
+        require(self, "tf", "non_negative", ControllerError)
 
 
 def lp2_step(f: Lp2State, w: float, h: float) -> float:
@@ -121,19 +119,13 @@ class ControllerConfig:
     ce_ref: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("target_bis", "tf1", "tf2", "kp", "ki", "u_max", "nominal_e0"):
-            value = getattr(self, name)
-            if not is_number(value) and (value is not None or name != "nominal_e0"):
-                raise ControllerError(f"{name} must be a number, got {value!r}")
-        for name in ("tf1", "tf2", "kp", "ki"):
-            value = getattr(self, name)
-            if not 0 <= value <= sys.float_info.max:
-                raise ControllerError(f"{name} must be finite and >= 0, got {value}")
-        if not 0 < self.u_max <= sys.float_info.max:
-            raise ControllerError(f"u_max must be finite and positive, got {self.u_max}")
-        if not abs(self.target_bis) <= sys.float_info.max:
-            raise ControllerError(f"target_bis must be finite, got {self.target_bis}")
+        require(self, "target_bis", None, ControllerError)
+        require(self, "tf1 tf2 kp ki", "non_negative", ControllerError)
+        require(self, "u_max", "positive", ControllerError)
         e0 = self.nominal_e0
+        # Only its type here: HillParams checks its range, with ModelError.
+        if e0 is not None and not is_number(e0):
+            raise ControllerError(f"nominal_e0 must be a number, got {e0!r}")
         nominal = ce_ref = None
         if e0 is not None:
             nominal = HillParams(e0, POPULATION_EMAX, POPULATION_CE50, POPULATION_GAMMA)

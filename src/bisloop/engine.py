@@ -10,7 +10,6 @@ seed.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
@@ -18,7 +17,8 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
 
 from .control import MODEL_PK, ControllerConfig, ControllerState, controller_step
-from .errors import BisloopError, ControllerError, ModelError, ScenarioError, is_number
+from .errors import (BisloopError, ControllerError, ModelError, ScenarioError, is_integer,
+                     number_error, require)
 from .patient import (AVERAGE_PATIENT_ID, DiscretePk, VirtualPatient, ZERO_STATE, cohort_member,
                       hill_bis)
 
@@ -76,32 +76,26 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("duration", "h", "noise"):
-            if not is_number(value := getattr(self, name)):
-                raise ScenarioError(f"{name} must be a number, got {value!r}")
+        require(self, "duration h", "positive", ScenarioError)
+        require(self, "noise", "non_negative", ScenarioError)
         duration, h = self.duration, self.h
-        for name, value in (("duration", duration), ("h", h)):
-            if not 0 < value <= sys.float_info.max:
-                raise ScenarioError(f"{name} must be finite and positive, got {value}")
         if duration / h > MAX_STEPS:
             raise ScenarioError(f"run of {duration / h:.6g} steps (duration={duration} min, "
                                 f"h={h} min) exceeds MAX_STEPS={MAX_STEPS}")
         # Only after the budget test, which keeps duration / h within int range.
         if self.n_steps < 1:
             raise ScenarioError(f"run has no steps (h={h} min, duration={duration} min)")
-        if not 0 <= self.noise <= sys.float_info.max:
-            raise ScenarioError(f"noise sigma must be finite and >= 0, got {self.noise}")
         # Checked whatever the noise, as the parser checks it: a float seed
         # would otherwise fail inside numpy at a noisy run's first draw.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+        if not is_integer(self.seed):
             raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "disturbance", tuple(self.disturbance))
         for p in self.disturbance:
-            if not (isinstance(p, DisturbancePulse)
-                    and all(is_number(v) and abs(v) <= sys.float_info.max for v in p)
-                    and p.duration > 0):
+            # start, duration and amplitude: finite, the duration positive
+            if not isinstance(p, DisturbancePulse) or \
+                    any(map(number_error, p, (None, "positive", None))):
                 raise ScenarioError(f"disturbance pulse must be a DisturbancePulse of finite "
                                     f"numbers with a positive duration, got {p!r}")
         if not isinstance(self.patient, VirtualPatient):
@@ -583,11 +577,10 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
     if isinstance(profile, (int, float)):
         profile = ((0.0, profile),)
     # Checked before float(), which raises OverflowError beyond the float range.
-    if not all(is_number(r) and 0 <= r <= sys.float_info.max for _, r in profile):
+    if any(number_error(r, "non_negative") for _, r in profile):
         raise ScenarioError("infusion rates must be >= 0 and finite numbers")
     starts = [s for s, _ in profile]
-    if not all(is_number(s) and abs(s) <= sys.float_info.max for s in starts) or \
-            starts != sorted(starts):
+    if any(map(number_error, starts)) or starts != sorted(starts):
         raise ScenarioError(f"breakpoint starts must be finite and non-decreasing, got {starts}")
     profile = tuple((float(s), float(r)) for s, r in profile)
     return _run(scenario, profile)

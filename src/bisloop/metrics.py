@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .engine import DisturbancePulse, Scenario, Trajectory, _closed_loop_lanes
-from .errors import BisloopError, ScenarioError
+from .errors import BisloopError, ScenarioError, number_error
 from .patient import VirtualPatient, builtin_cohort, hill_bis
 
 
@@ -87,14 +87,12 @@ def _settling_index(traj: Trajectory, target_bis: float) -> int | None:
     n = len(ts)
     lo, hi = target_bis - band, target_bis + band
     lo2, hi2 = target_bis - 2 * band, target_bis + 2 * band
-    # suffix[i]: every sample from i on stays inside the 2*band corridor
-    suffix = [False] * (n + 1)
-    suffix[n] = True
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] and lo2 <= ys[i] <= hi2
+    # The last sample outside the 2*band corridor (NaN included), or -1: the
+    # settling index lies after it.
+    last = next((i for i in range(n - 1, -1, -1) if not lo2 <= ys[i] <= hi2), -1)
     j = 0
-    for i in range(n):
-        if not (lo <= ys[i] <= hi and suffix[i]):
+    for i in range(last + 1, n):
+        if not lo <= ys[i] <= hi:
             continue
         if j < i:
             j = i
@@ -206,8 +204,8 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
     grid = [float(g) for g in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
-    if any(g < 0 for g in grid):
-        raise ValueError("grid values must be >= 0")
+    if any(number_error(g, "non_negative") for g in grid):
+        raise ValueError("grid values must be finite and >= 0")
     if not threshold > -math.inf:
         raise ScenarioError(f"threshold must be a number above -inf, got {threshold}")
     cohort = cohort if cohort is not None else builtin_cohort()
@@ -250,8 +248,8 @@ def tune_tf2(grid: list[float], threshold: float = 0.30,
 def ce_bis_curve(patient: VirtualPatient, ce_max: float,
                  n_points: int) -> list[tuple[float, float]]:
     """Sample the patient's concentration-effect curve on [0, ce_max]."""
-    if not 0 < ce_max < math.inf:
-        raise ValueError(f"ce_max must be finite and positive, got {ce_max}")
+    if want := number_error(ce_max, "positive"):
+        raise ValueError(f"ce_max must be {want}, got {ce_max!r}")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     step = ce_max / (n_points - 1)

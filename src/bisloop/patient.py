@@ -13,12 +13,11 @@ constants in 1/min, infusion rates in mg/min, time in minutes.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ModelError, NonPhysicalParameterError
+from .errors import ModelError, NonPhysicalParameterError, is_integer, number_error, require
 
 # Effect-site equilibration constant: drug transfer into the effect site is
 # taken equal to elimination out of it, so Ce tracks C1 with no steady-state
@@ -61,10 +60,7 @@ class Demographics:
     sex: Sex
 
     def __post_init__(self):
-        for name in ("age", "height_cm", "weight_kg"):
-            # <= float max, not < inf: an int above the float range is below inf.
-            if not 0 < getattr(self, name) <= sys.float_info.max:
-                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        require(self, "age height_cm weight_kg", "positive", ModelError)
         # Reject body habitus outside the validity region of the LBM formula.
         lean_body_mass(self.sex, self.weight_kg, self.height_cm)
 
@@ -78,8 +74,8 @@ def lean_body_mass(sex: Sex | str, weight_kg: float, height_cm: float) -> float:
     Raises ModelError when the quadratic term dominates and the estimate
     turns non-positive (demographics outside the formula's domain).
     """
-    if weight_kg <= 0 or height_cm <= 0:
-        raise ModelError("weight and height must be positive")
+    if number_error(weight_kg, "positive") or number_error(height_cm, "positive"):
+        raise ModelError("weight and height must be finite and positive")
     # A height whose square underflows to 0 gives an infinite ratio.
     h2 = height_cm * height_cm
     ratio = weight_kg * weight_kg / h2 if h2 else math.inf
@@ -118,17 +114,11 @@ class PkParams:
     k1e: float = field(init=False)
 
     def __post_init__(self):
-        # <= float max, not < inf: an int above the float range is below inf.
-        for name in ("v1", "v2", "v3"):
-            if not 0 < getattr(self, name) <= sys.float_info.max:
-                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
-        if not 0 < self.cl1 <= sys.float_info.max:
+        require(self, "v1 v2 v3", "positive", ModelError)
+        if number_error(self.cl1, "positive"):
             raise NonPhysicalParameterError(
                 f"non-physical PK parameters: cl1={self.cl1} L/min", value=self.cl1)
-        for name in ("cl2", "cl3", "ke0"):
-            if not 0 <= getattr(self, name) <= sys.float_info.max:
-                raise ModelError(f"{name} must be finite and non-negative, "
-                                 f"got {getattr(self, name)}")
+        require(self, "cl2 cl3 ke0", "non_negative", ModelError)
         # Plain attributes, not properties: pk_derivatives reads them when a
         # DiscretePk is built.
         for name, value in (("k10", self.cl1 / self.v1), ("k12", self.cl2 / self.v1),
@@ -160,12 +150,12 @@ def derive_pk_params(demo: Demographics,
                - 0.0681 * (lbm - 59) + 0.264 * (demo.height_cm - 177))
     cl2 = 1.29 - 0.024 * (demo.age - 53)
     cl3 = 0.836
-    if cl1 <= 0:
+    if number_error(cl1, "positive"):
         raise NonPhysicalParameterError(
             f"non-physical PK parameters: cl1={cl1:.6g} L/min "
             f"(preset={preset.value}, age={demo.age}, height={demo.height_cm}, "
             f"weight={demo.weight_kg}, sex={demo.sex.value})", value=cl1)
-    if v2 <= 0:
+    if number_error(v2, "positive"):
         raise NonPhysicalParameterError(
             f"non-physical PK parameters: v2={v2:.6g} L (age={demo.age})", value=v2)
     return PkParams(v1=v1, v2=v2, v3=v3, cl1=cl1, cl2=cl2, cl3=cl3)
@@ -186,18 +176,16 @@ class HillParams:
     c50g: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.e0 <= 100:
-            raise ModelError(f"e0 must be in (0, 100], got {self.e0}")
-        for name in ("emax", "ce50", "gamma"):
-            if not 0 < getattr(self, name) <= sys.float_info.max:
-                raise ModelError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if number_error(self.e0, "positive") or not self.e0 <= 100:
+            raise ModelError(f"e0 must be in (0, 100], got {self.e0!r}")
+        require(self, "emax ce50 gamma", "positive", ModelError)
         # hill_bis and both step loops divide by ce ** gamma + c50g, whose
         # second term may neither overflow nor underflow to 0.
         try:
             c50g = self.ce50 ** self.gamma
         except OverflowError:
             c50g = math.inf
-        if not 0.0 < c50g <= sys.float_info.max:
+        if number_error(c50g, "positive"):
             raise ModelError(f"ce50 ** gamma must be a positive finite float, got "
                              f"ce50={self.ce50}, gamma={self.gamma}")
         object.__setattr__(self, "c50g", c50g)
@@ -303,7 +291,7 @@ class DiscretePk:
     gamma: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.h < math.inf:
+        if number_error(self.h, "positive"):
             raise ModelError(f"step size must be finite and positive, got {self.h}")
         # Columns of [[A, B], [0, 0]]: the derivatives at each unit state, u = 0,
         # then at the zero state under u = 1.
@@ -392,7 +380,9 @@ def builtin_cohort(preset: PkPreset = PkPreset.SCHNIDER_CORRECTED) -> list[Virtu
 def cohort_member(patient_id: int,
                   preset: PkPreset = PkPreset.SCHNIDER_CORRECTED) -> VirtualPatient:
     """Single cohort member by id (1-13)."""
-    for row in _COHORT_ROWS:
-        if row[0] == patient_id:
-            return _member(row, preset)
+    # An int, as the parser reads ids: True and 13.0 compare equal to ids too.
+    if is_integer(patient_id):
+        for row in _COHORT_ROWS:
+            if row[0] == patient_id:
+                return _member(row, preset)
     raise ModelError(f"unknown patient id {patient_id} (cohort has 1-13)")

@@ -8,14 +8,13 @@ every validation failure names the offending key.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import replace
 from itertools import repeat
 from typing import Any
 
 from .control import ControllerConfig
 from .engine import TRAJECTORY_FIELDS, DisturbancePulse, Scenario, Trajectory
-from .errors import ModelError, ScenarioError, is_number
+from .errors import ModelError, ScenarioError, is_integer, number_error
 from .metrics import MetricsReport, SweepResult
 from .patient import (Demographics, HillParams, PkPreset, Sex, VirtualPatient,
                       builtin_cohort, cohort_member)
@@ -62,19 +61,9 @@ def _number(obj: dict, key: str, where: str, default: float | None = None,
             raise ScenarioError(f"{where}.{key}: required")
         return default
     v = obj[key]
-    if not is_number(v):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:  # an integer beyond the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ScenarioError(f"{where}.{key}: must be finite, got {v}")
-    if rule == "positive" and v <= 0:
-        raise ScenarioError(f"{where}.{key}: must be > 0, got {v}")
-    if rule == "non_negative" and v < 0:
-        raise ScenarioError(f"{where}.{key}: must be >= 0, got {v}")
-    return v
+    if want := number_error(v, rule):
+        raise ScenarioError(f"{where}.{key}: must be {want}, got {v!r}")
+    return float(v)
 
 
 def _numbers(obj: dict, rows: tuple, where: str, defaults: Any = None) -> dict[str, float]:
@@ -95,7 +84,7 @@ def _integer(obj: dict, key: str, where: str, default: int | None = None) -> int
             raise ScenarioError(f"{where}.{key}: required")
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not is_integer(v):
         raise ScenarioError(f"{where}.{key}: expected an integer, got {v!r}")
     return v
 
@@ -188,8 +177,6 @@ def parse_scenario(text: str) -> Scenario:
     noise = _parse_noise(raw["noise"]) if "noise" in raw else 0.0
     disturbance = _parse_disturbance(raw["disturbance"]) if "disturbance" in raw else ()
     seed = _integer(raw, "seed", "scenario", Scenario.seed)
-    if seed < 0:
-        raise ScenarioError(f"scenario.seed: must be >= 0, got {seed}")
 
     return Scenario(
         patient=patient,

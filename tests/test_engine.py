@@ -61,7 +61,7 @@ class TestNoise:
     @pytest.mark.parametrize("sigma", [math.nan, math.inf,
                                        pytest.param(10**400, id="int_above_float_range")])
     def test_non_finite_sigma_rejected(self, sigma):
-        with pytest.raises(ScenarioError, match="sigma must be finite"):
+        with pytest.raises(ScenarioError, match="noise must be finite"):
             Scenario(noise=sigma)
 
 
@@ -691,7 +691,7 @@ class TestScenarioValidation:
         ({"disturbance": ((0.1, 0.2, 5.0),)}, "disturbance pulse must be a DisturbancePulse"),
     ])
     def test_bool_or_non_number_settings_rejected(self, kwargs, match):
-        # the parser's "expected a number", for a Scenario built in Python
+        # the parser's "must be a number", for a Scenario built in Python
         with pytest.raises(ScenarioError, match=match):
             Scenario(patient=13, **kwargs)
 

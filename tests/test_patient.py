@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisloop import (Demographics, DiscretePk, HillParams, ModelError,
-                     NonPhysicalParameterError, PatientState, PkParams, PkPreset, Sex,
+                     NonPhysicalParameterError, PatientState, PkParams, PkPreset, Scenario, Sex,
                      builtin_cohort, cohort_member, derive_pk_params, hill_bis,
                      lean_body_mass, pk_derivatives)
 from bisloop.control import MODEL_PK
@@ -377,9 +377,13 @@ class TestCohort:
         with pytest.raises(NonPhysicalParameterError):
             builtin_cohort(PkPreset.AS_PUBLISHED)
 
-    def test_unknown_member(self):
+    # True and 13.0 compare equal to cohort ids, but an id is an int
+    @pytest.mark.parametrize("patient_id", [14, True, 13.0])
+    def test_unknown_member(self, patient_id):
         with pytest.raises(ModelError, match="unknown patient id"):
-            cohort_member(14)
+            cohort_member(patient_id)
+        with pytest.raises(ModelError, match="unknown patient id"):
+            Scenario(patient=patient_id)
 
     def test_repeated_calls_identical(self):
         assert builtin_cohort() == builtin_cohort()
@@ -426,22 +430,27 @@ class TestStateProperties:
         good = {"age": 40, "height_cm": 170.0, "weight_kg": 60.0}
         for name in good:
             # an integer above the float range compares below math.inf
-            for bad in (math.nan, math.inf, 10**400):
-                with pytest.raises(ModelError, match=f"{name} must be finite"):
+            for bad, want in ((math.nan, "finite"), (math.inf, "finite"), (10**400, "finite"),
+                              (True, "a number"), ("1", "a number")):
+                with pytest.raises(ModelError, match=f"{name} must be {want}"):
                     Demographics(**{**good, name: bad}, sex=Sex.FEMALE)
 
-    @pytest.mark.parametrize("name", ["emax", "ce50", "gamma"])
+    @pytest.mark.parametrize("name", ["e0", "emax", "ce50", "gamma"])
     # an integer above the float range compares below math.inf
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf,
-                                     pytest.param(10**400, id="int_above_float_range")])
+                                     pytest.param(10**400, id="int_above_float_range"),
+                                     True, "1"])
     def test_hill_validation(self, name, bad):
         good = {"e0": 93.1, "emax": 87.5, "ce50": 4.92, "gamma": 2.69}
-        with pytest.raises(ModelError, match=f"{name} must be finite and positive"):
+        want = (r"in \(0, 100\]" if name == "e0"
+                else "a number" if isinstance(bad, (bool, str)) else "finite and positive")
+        with pytest.raises(ModelError, match=f"{name} must be {want}"):
             HillParams(**{**good, name: bad})
 
     @pytest.mark.parametrize("name", ["v1", "v2", "v3", "cl1", "cl2", "cl3", "ke0"])
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf,
-                                     pytest.param(10**400, id="int_above_float_range")])
+                                     pytest.param(10**400, id="int_above_float_range"),
+                                     True, "1"])
     def test_pk_validation(self, name, bad):
         good = {"v1": 4.27, "v2": 18.9, "v3": 238.0, "cl1": 1.8, "cl2": 1.3, "cl3": 0.8,
                 "ke0": 0.456}

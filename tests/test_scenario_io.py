@@ -136,7 +136,7 @@ class TestParseScenario:
             parse_scenario('{"duration_min": 1e12}')
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ScenarioError, match="seed: must be >= 0"):
+        with pytest.raises(ScenarioError, match="seed must be >= 0"):
             parse_scenario('{"seed": -1}')
 
     def test_malformed_json(self):
