@@ -10,6 +10,8 @@ seed.
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
@@ -31,6 +33,8 @@ _discrete_pk = lru_cache(maxsize=64)(DiscretePk)
 
 # Step budget of one run: duration / h may not exceed it.  A million steps is
 # 11.6 days at the default 1-s step; the longest benchmark run has 14 400.
+# Such a run's Trajectory holds about 96 MB (12 columns of 8-byte doubles),
+# and writing its CSV peaks at about 0.29 GB.
 MAX_STEPS = 1_000_000
 
 
@@ -109,30 +113,37 @@ class Scenario:
 
 @dataclass
 class Trajectory:
-    """Per-step record of every loop signal.
+    """Per-step record of every loop signal, one column per field.
 
-    The controller columns (bis_filtered, ce_model, i_t, ce_ref) hold None
-    on open-loop runs, where the infusion is prescribed.
+    A run stores each numeric column as an array('d'): the same doubles at
+    8 bytes per value, which index, slice and iterate as floats
+    (list(traj.u) gives a list).  The controller columns (bis_filtered,
+    ce_model, i_t, ce_ref) hold None on open-loop runs, where the infusion
+    is prescribed: the four share one tuple of None.  A Trajectory built by
+    hand may hold lists.
     """
 
-    t: list[float] = field(default_factory=list)
-    bis_true: list[float] = field(default_factory=list)
-    bis_measured: list[float] = field(default_factory=list)
-    bis_filtered: list[float | None] = field(default_factory=list)
-    u: list[float] = field(default_factory=list)
-    c1: list[float] = field(default_factory=list)
-    c2: list[float] = field(default_factory=list)
-    c3: list[float] = field(default_factory=list)
-    ce_true: list[float] = field(default_factory=list)
-    ce_model: list[float | None] = field(default_factory=list)
-    i_t: list[float | None] = field(default_factory=list)
-    ce_ref: list[float | None] = field(default_factory=list)
+    t: Sequence[float] = field(default_factory=list)
+    bis_true: Sequence[float] = field(default_factory=list)
+    bis_measured: Sequence[float] = field(default_factory=list)
+    bis_filtered: Sequence[float | None] = field(default_factory=list)
+    u: Sequence[float] = field(default_factory=list)
+    c1: Sequence[float] = field(default_factory=list)
+    c2: Sequence[float] = field(default_factory=list)
+    c3: Sequence[float] = field(default_factory=list)
+    ce_true: Sequence[float] = field(default_factory=list)
+    ce_model: Sequence[float | None] = field(default_factory=list)
+    i_t: Sequence[float | None] = field(default_factory=list)
+    ce_ref: Sequence[float | None] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.t)
 
 
 TRAJECTORY_FIELDS = tuple(f.name for f in fields(Trajectory))
+# What an open-loop step records, in order: the fields that are not the
+# controller's.
+_OPEN_LOOP_FIELDS = ("t", "bis_true", "bis_measured", "u", "c1", "c2", "c3", "ce_true")
 
 
 def resolve_controller(scenario: Scenario) -> ControllerConfig:
@@ -180,11 +191,30 @@ def _named(run, scenario: Scenario, *args):
                       f"tf2={scenario.controller.tf2:.6g} min: {e}") from e
 
 
-def _trajectory(values: list[float | None]) -> Trajectory:
-    # Every step's values in TRAJECTORY_FIELDS order, in one flat list of
-    # floats: per-step tuples kept alive would wake the cyclic GC.
-    n = len(TRAJECTORY_FIELDS)
-    return Trajectory(*(values[i::n] for i in range(n)))
+# Steps a fast loop records in its list of floats before _flush moves them
+# into its array: the list, and the floats it holds, never outgrow it.
+_FLUSH_STEPS = 256
+
+
+def _flush(store: array, values: list[float]) -> None:
+    """Append values to store as doubles, and empty values.  A run records
+    its steps in one flat list of floats (per-step tuples kept alive would
+    wake the cyclic GC); struct packs them two to three times as fast as
+    array.fromlist converts them."""
+    store.frombytes(struct.pack(f"{len(values)}d", *values))
+    values.clear()
+
+
+def _trajectory(store: array, closed: bool) -> Trajectory:
+    """The Trajectory of a run whose store holds each step's values in
+    TRAJECTORY_FIELDS order on a closed loop, _OPEN_LOOP_FIELDS on an open
+    one, where the controller columns share one tuple of None."""
+    names = TRAJECTORY_FIELDS if closed else _OPEN_LOOP_FIELDS
+    columns = {name: store[i::len(names)] for i, name in enumerate(names)}
+    if not closed:
+        nones = (None,) * len(columns["t"])
+        columns.update((name, nones) for name in TRAJECTORY_FIELDS if name not in columns)
+    return Trajectory(**columns)
 
 
 def _reference_run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajectory:
@@ -206,28 +236,32 @@ def _reference_run(scenario: Scenario, profile: InfusionProfile | None = None) -
         cs = ControllerState.initial(cfg, awake_bis=hill.e0)
         model = _discrete_pk(MODEL_PK, h)
 
+        # u, then what a step records between bm and the state and after it.
         def control(t: float, bm: float) -> tuple:
             ce_model = cs.model_state.ce
             u = controller_step(cs, cfg, model, bm)
-            return u, cs.f1.x2, ce_model, cs.f2.x2, cfg.ce_ref
+            return u, (cs.f1.x2, u), (ce_model, cs.f2.x2, cfg.ce_ref)
     else:
         def control(t: float, bm: float) -> tuple:
-            return _rate_at(profile, t), None, None, None, None
+            u = _rate_at(profile, t)
+            return u, (u,), ()
 
     state = ZERO_STATE
-    values: list[float | None] = []
+    values: list[float] = []
     for k, offset in enumerate(_offsets(scenario.noise, scenario.seed, scenario.n_steps)):
         t = k * h
         try:
             bt = hill_bis(state.ce, hill)
             bm = bt + disturbance_at(disturbance, t) + offset
             bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
-            u, bis_f, ce_model, i_t, ce_ref = control(t, bm)
-            values.extend((t, bt, bm, bis_f, u, *state, ce_model, i_t, ce_ref))
+            u, before, after = control(t, bm)
+            values.extend((t, bt, bm, *before, *state, *after))
             state = advance(state, u)
         except (ModelError, ControllerError) as e:
             raise type(e)(f"{_failure_prefix(k, h)}{e}") from e
-    return _trajectory(values)
+    store = array("d")
+    _flush(store, values)
+    return _trajectory(store, profile is None)
 
 
 def _explain(scenario: Scenario, profile: InfusionProfile | None, k: int) -> NoReturn:
@@ -253,7 +287,8 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
     steps reaching one of their _edges; in between they are constant.  Each
     step repeats the reference's float operations in its order, so the two
     agree bit for bit.  Open loop (profile given) is the same loop with the
-    controller block off.
+    controller block off.  Each step appends what it records to a list,
+    which _flush moves into one array of doubles every _FLUSH_STEPS steps.
 
     States no failure of its own: an out-of-domain reading inverts to NaN,
     and one finiteness test per step covers what the reference tests: bt,
@@ -285,13 +320,14 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
         k1, k2, k3, k4 = model.gamma
         f1x1 = f1x2 = e0
         f2x1 = f2x2 = integrator = m1 = m2 = m3 = m4 = 0.0
-    else:
-        bis_f = ce_model = i_t = ce_ref = None
     edge = edges[0]
     d = u = c1 = c2 = c3 = ce = 0.0
-    values: list[float | None] = []
+    store, values, flush = array("d"), [], _FLUSH_STEPS
     try:
         for k, offset in enumerate(_offsets(scenario.noise, scenario.seed, scenario.n_steps)):
+            if k == flush:
+                _flush(store, values)
+                flush += _FLUSH_STEPS
             t = k * h
             if t >= edge:
                 d = disturbance_at(disturbance, t)
@@ -330,7 +366,7 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
                 else:
                     integrator = proposed
                 u = 0.0 if u < 0.0 else (u_max if u > u_max else u)
-                bis_f, ce_model, i_t = f1x2, m4, f2x2
+                values.extend((t, bt, bm, f1x2, u, c1, c2, c3, ce, m4, f2x2, ce_ref))
                 y1 = q11 * m1 + q12 * m2 + q13 * m3 + q14 * m4 + k1 * u
                 y2 = q21 * m1 + q22 * m2 + q23 * m3 + q24 * m4 + k2 * u
                 y3 = q31 * m1 + q32 * m2 + q33 * m3 + q34 * m4 + k3 * u
@@ -345,7 +381,7 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
                 m4 = 0.0 if y4 < 0.0 else y4
             else:
                 check = 0.0
-            values.extend((t, bt, bm, bis_f, u, c1, c2, c3, ce, ce_model, i_t, ce_ref))
+                values.extend((t, bt, bm, u, c1, c2, c3, ce))
             x1 = p11 * c1 + p12 * c2 + p13 * c3 + p14 * ce + g1 * u
             x2 = p21 * c1 + p22 * c2 + p23 * c3 + p24 * ce + g2 * u
             x3 = p31 * c1 + p32 * c2 + p33 * c3 + p34 * ce + g3 * u
@@ -358,7 +394,8 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
             c3 = 0.0 if x3 < 0.0 else x3
             ce = 0.0 if x4 < 0.0 else x4
         else:
-            return _trajectory(values)
+            _flush(store, values)
+            return _trajectory(store, closed)
     except OverflowError:
         pass
     _explain(scenario, profile, k)

@@ -8,6 +8,7 @@ every validation failure names the offending key.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import replace
 from itertools import repeat
 from typing import Any
@@ -146,7 +147,7 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario JSON document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer of too many digits
         raise ScenarioError(f"malformed JSON: {e}") from e
     raw = _require_mapping(raw, "scenario")
     _check_keys(raw, _RUN_KEYS, "patient_id patient pk_preset controller noise disturbance seed",
@@ -217,6 +218,10 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".6g")
 
 
+# Rows write_trajectory_csv formats into one string at a time.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_trajectory_csv(traj: Trajectory) -> str:
     """Trajectory as CSV text, floats at 6 significant digits (printf %.6g,
     the same text as format(v, ".6g")), None as an empty field.
@@ -224,11 +229,14 @@ def write_trajectory_csv(traj: Trajectory) -> str:
     Open-loop runs emit empty fields for the controller columns.  Every row
     is one printf format: a numeric column is %.6g, a column of None is the
     empty field itself, and a column mixing both is written through _fmt.
+    An array column is numeric by its type; scanning it for None would box
+    every value.  Rows are formatted in blocks, so the text is built from
+    one string per block, not one per row.
     """
     fields, kept = [], []
     for name in TRAJECTORY_FIELDS:
         column = getattr(traj, name)
-        if None not in column:
+        if isinstance(column, array) or None not in column:
             fields.append("%.6g")
             kept.append(column)
         elif column.count(None) < len(column):
@@ -236,10 +244,14 @@ def write_trajectory_csv(traj: Trajectory) -> str:
             kept.append(list(map(_fmt, column)))
         else:
             fields.append("")
-    rows = zip(*kept) if kept else repeat((), len(traj))
-    lines = [TRAJECTORY_CSV_HEADER]
-    lines += map(",".join(fields).__mod__, rows)
-    return "\n".join(lines) + "\n"
+    row = (",".join(fields) + "\n").__mod__
+    n, blocks = len(traj), [TRAJECTORY_CSV_HEADER + "\n"]
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        rows = zip(*(column[start:stop] for column in kept)) if kept \
+            else repeat((), min(stop, n) - start)
+        blocks.append("".join(map(row, rows)))
+    return "".join(blocks)
 
 
 COHORT_CSV_HEADER = "id,age,height_cm,weight_kg,sex,ce50,gamma,e0,emax"

@@ -85,6 +85,11 @@ class TestSimulate:
         bad.write_text("{nope")
         assert main(["simulate", "--scenario", str(bad)]) == 2
 
+    def test_integer_of_too_many_digits_exit_code(self, tmp_path, capsys):
+        huge = tmp_path / "huge.json"
+        huge.write_text('{"duration_min": 1' + "0" * 5000 + "}")
+        assert main(["simulate", "--scenario", str(huge)]) == 2
+
     def test_unknown_patient_exit_code(self, scenario_file, capsys):
         path = scenario_file({"patient_id": 14})
         assert main(["simulate", "--scenario", path]) == 2

@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import tracemalloc
+from array import array
 from dataclasses import asdict, replace
 
 import pytest
@@ -9,10 +12,11 @@ from hypothesis import strategies as st
 from bisloop import (BisloopError, ControllerConfig, ControllerError, Demographics,
                      DisturbancePulse, HillParams, ModelError, Scenario, ScenarioError, Sex,
                      VirtualPatient, cohort_member, disturbance_at, noise_stream,
-                     run_closed_loop, run_many, run_open_loop, tune_tf2)
+                     run_closed_loop, run_many, run_open_loop, tune_tf2,
+                     write_trajectory_csv)
 from bisloop import engine
 from bisloop.control import DEFAULT_TF2_MIN, inverse_hill
-from bisloop.engine import MAX_STEPS
+from bisloop.engine import MAX_STEPS, TRAJECTORY_FIELDS
 from bisloop.metrics import default_tuning_scenario, induction_time
 
 
@@ -69,7 +73,7 @@ class TestClosedLoop:
     def test_single_step_run(self):
         traj = run_closed_loop(Scenario(patient=13, duration=1 / 60))
         assert len(traj) == 1
-        assert traj.t == [0.0]
+        assert traj.t.tolist() == [0.0]
         assert traj.bis_true[0] == 93.1
         assert traj.u[0] > 0.0
 
@@ -557,7 +561,7 @@ class TestLanes:
             return
         lanes = engine._closed_loop_lanes(scenarios)
         assert [repr(column) for column in lanes.T.tolist()] == \
-            [repr(run_closed_loop(s).bis_measured) for s in scenarios]
+            [repr(run_closed_loop(s).bis_measured.tolist()) for s in scenarios]
 
     def test_passthrough_lanes_equal_run_closed_loop(self):
         # Three calls: no lane with tf1 = 0 or tf2 = 0, every lane a
@@ -570,7 +574,7 @@ class TestLanes:
                                   controller=ControllerConfig(tf1=tf1, tf2=tf2))
                          for i, (tf1, tf2) in enumerate(tf1_tf2)]
             assert [repr(column) for column in engine._closed_loop_lanes(scenarios).T.tolist()] \
-                == [repr(run_closed_loop(s).bis_measured) for s in scenarios]
+                == [repr(run_closed_loop(s).bis_measured.tolist()) for s in scenarios]
 
     @pytest.mark.parametrize("template", EDGE_RUNS)
     def test_pulse_edges_equal_run_closed_loop(self, template):
@@ -579,7 +583,88 @@ class TestLanes:
         scenarios = [replace(template, patient=patient, controller=ControllerConfig(tf2=tf2))
                      for patient, tf2 in ((1, 0.0), (7, 0.5), (13, DEFAULT_TF2_MIN))]
         assert [repr(column) for column in engine._closed_loop_lanes(scenarios).T.tolist()] \
-            == [repr(run_closed_loop(s).bis_measured) for s in scenarios]
+            == [repr(run_closed_loop(s).bis_measured.tolist()) for s in scenarios]
+
+
+CONTROLLER_COLUMNS = ("bis_filtered", "ce_model", "i_t", "ce_ref")
+
+
+class TestTrajectoryColumns:
+    """A run stores each numeric column as an array('d'); an open-loop run's
+    controller columns are None."""
+
+    PROFILE = ((0.0, 10.0), (0.5, 2.5))
+
+    @pytest.mark.parametrize("run", [
+        run_closed_loop,
+        lambda s: run_many([s, replace(s, patient=4)])[1],
+        engine._reference_run,
+    ], ids=["run_closed_loop", "run_many", "reference"])
+    def test_closed_loop_columns_are_double_arrays(self, run):
+        traj = run(Scenario(patient=13, duration=1.0, noise=1.0, seed=2))
+        for name in TRAJECTORY_FIELDS:
+            column = getattr(traj, name)
+            assert type(column) is array and column.typecode == "d", name
+            assert len(column) == 60, name
+
+    @pytest.mark.parametrize("run", [
+        lambda s, profile: run_open_loop(s.patient, profile, s.duration),
+        lambda s, profile: engine._reference_run(s, profile),
+    ], ids=["run_open_loop", "reference"])
+    def test_open_loop_columns(self, run):
+        traj = run(Scenario(patient=13, duration=1.0), self.PROFILE)
+        for name in TRAJECTORY_FIELDS:
+            column = getattr(traj, name)
+            assert len(column) == 60, name
+            if name in CONTROLLER_COLUMNS:
+                assert all(v is None for v in column), name
+            else:
+                assert type(column) is array and column.typecode == "d", name
+
+
+class TestMemoryBudget:
+    """Traced memory of a 14 400-step run, per step: what its Trajectory
+    holds once the run returns, and the peak of the run and its CSV."""
+
+    STEPS = 14_400
+    HELD = 110              # B/step after the run returns
+    CLOSED_LOOP_PEAK = 450  # B/step through write_trajectory_csv
+    OPEN_LOOP_PEAK = 350
+
+    def traced(self, run) -> tuple[float, float]:
+        # The first run fills the caches (DiscretePk, struct formats) before
+        # tracing starts.  It runs under a no-op profile function, which on
+        # CPython 3.11 gives each code object it calls a line array:
+        # tracemalloc then finds the line of an allocation in constant time,
+        # not by decoding _run's line table, which made a traced 14 400-step
+        # closed-loop run take ~6 s rather than ~0.1 s.
+        previous = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            run()
+        finally:
+            sys.setprofile(previous)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = run()
+            held = tracemalloc.get_traced_memory()[0] - base
+            write_trajectory_csv(traj)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return held / self.STEPS, peak / self.STEPS
+
+    def test_closed_loop(self):
+        held, peak = self.traced(lambda: run_closed_loop(Scenario(patient=13, duration=240.0)))
+        assert held <= self.HELD
+        assert peak <= self.CLOSED_LOOP_PEAK
+
+    def test_open_loop(self):
+        patient = cohort_member(13)
+        held, peak = self.traced(lambda: run_open_loop(patient, 10.0, 240.0))
+        assert held <= self.HELD
+        assert peak <= self.OPEN_LOOP_PEAK
 
 
 class TestDiscretePkCache:

@@ -143,6 +143,13 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="malformed"):
             parse_scenario("{not json")
 
+    def test_integer_of_too_many_digits(self):
+        # Past CPython's int_max_str_digits (4300) json.loads raises a plain
+        # ValueError; where no limit applies, the number is beyond the float
+        # range.  Either way it is a scenario error.
+        with pytest.raises(ScenarioError, match="malformed JSON|duration_min"):
+            parse_scenario('{"duration_min": 1' + "0" * 5000 + "}")
+
     def test_explicit_patient(self):
         doc = {
             "patient": {"id": 99, "age": 30, "height_cm": 190, "weight_kg": 95,
