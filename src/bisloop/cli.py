@@ -97,8 +97,8 @@ def _parse_grid(spec: str) -> list[float]:
         raise ScenarioError(f"--grid expects A:B:STEP, got {spec!r}") from None
     if not all(map(math.isfinite, (lo, hi, step))):
         raise ScenarioError(f"--grid expects finite A, B and STEP, got {spec!r}")
-    if step <= 0 or hi < lo:
-        raise ScenarioError(f"--grid expects A <= B and STEP > 0, got {spec!r}")
+    if step <= 0 or hi < lo or lo < 0:
+        raise ScenarioError(f"--grid expects 0 <= A <= B and STEP > 0, got {spec!r}")
     count = (hi - lo) / step
     if not math.isfinite(count):
         raise ScenarioError(f"--grid expects a finite point count (B - A) / STEP, got {spec!r}")

@@ -37,24 +37,26 @@ DEFAULT_TF2_MIN = 9.7871 / 60.0
 # covariate preset, whoever the patient is.
 MODEL_PK = cohort_member(AVERAGE_PATIENT_ID).pk
 
+# inverse_hill floors its denominator emax - e0 + bis at this [BIS], so a
+# reading below the curve's reach (an artefact, burst suppression) saturates:
+# at 27.3 mg/L at most on the population curve at e0 <= 100.
+INVERSE_HILL_FLOOR = 1.0
+
 
 def inverse_hill(bis: float, curve: HillParams) -> float:
     """Effect-site concentration (mg/L) at which a Hill curve reads bis.
 
     curve is the controller's nominal curve or a patient's own.  Inverts the
     sigmoid: ce50 * ((e0 - bis)/(emax - e0 + bis))^(1/gamma).  Readings at or
-    above the awake baseline map to 0 (no drug needed).  Raises
-    ControllerError when emax - e0 + bis <= 0, where the curve has no
-    preimage.
+    above the awake baseline map to 0 (no drug needed).  Below it the
+    denominator is floored at INVERSE_HILL_FLOOR: every reading, even one
+    below the curve's reach e0 - emax, has a finite inverse, monotone in bis,
+    at most ce50 * (e0 / INVERSE_HILL_FLOOR)^(1/gamma) for bis >= 0.
     """
     if bis >= curve.e0:
         return 0.0
     den = curve.emax - curve.e0 + bis
-    if den <= 0.0:
-        raise ControllerError(
-            f"inverse Hill out of domain: bis={bis:.4g} with e0={curve.e0:.4g}, "
-            f"emax={curve.emax:.4g}")
-    return curve.ce50 * ((curve.e0 - bis) / den) ** (1.0 / curve.gamma)
+    return curve.ce50 * ((curve.e0 - bis) / max(den, INVERSE_HILL_FLOOR)) ** (1.0 / curve.gamma)
 
 
 @dataclass
@@ -132,12 +134,11 @@ class ControllerConfig:
             if not (0 < self.target_bis < e0):
                 raise ControllerError(
                     f"target_bis must lie in (0, e0={e0}), got {self.target_bis}")
-            try:
-                ce_ref = inverse_hill(self.target_bis, nominal)
-            except ControllerError:
+            if nominal.emax - nominal.e0 + self.target_bis <= 0.0:
                 raise ControllerError(
                     f"target_bis={self.target_bis} is below the nominal curve's reach "
-                    f"e0 - emax = {e0} - {POPULATION_EMAX}") from None
+                    f"e0 - emax = {e0} - {POPULATION_EMAX}")
+            ce_ref = inverse_hill(self.target_bis, nominal)
         object.__setattr__(self, "nominal", nominal)
         object.__setattr__(self, "ce_ref", ce_ref)
 

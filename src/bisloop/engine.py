@@ -16,13 +16,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .control import MODEL_PK, ControllerConfig, ControllerState, controller_step
+from .control import INVERSE_HILL_FLOOR, MODEL_PK, ControllerConfig
 from .errors import (BisloopError, ControllerError, ModelError, ScenarioError, is_integer,
                      number_error, require)
-from .patient import (AVERAGE_PATIENT_ID, DiscretePk, VirtualPatient, ZERO_STATE, cohort_member,
-                      hill_bis)
+from .patient import AVERAGE_PATIENT_ID, DiscretePk, PkParams, VirtualPatient, cohort_member
 
 if TYPE_CHECKING:
     import numpy as np
@@ -176,11 +175,6 @@ def _offsets(noise: float, seed: int, n_steps: int) -> Iterable[float]:
     return noise_stream(noise, seed, n_steps).tolist()
 
 
-def _failure_prefix(k: int, h: float) -> str:
-    """What a run's error at step k starts with."""
-    return f"step {k} (t={k * h:.4f} min): "
-
-
 def _named(run, scenario: Scenario, *args):
     """run(scenario, *args), with the run named in front of any BisloopError
     it raises: 'patient <id>, tf2=<tf2> min: ', then the error's message."""
@@ -217,66 +211,58 @@ def _trajectory(store: array, closed: bool) -> Trajectory:
     return Trajectory(**columns)
 
 
-def _reference_run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajectory:
-    """The per-step reference loop, which _run and the lanes are pinned to:
-    open loop under profile when it is given, else closed loop.
+def _twice_steady_state(pk: PkParams, u_bound: float) -> tuple[float, float]:
+    """Twice the steady state under u_bound of ce (c1's too) and of the largest state."""
+    ce = 2.0 * u_bound / pk.cl1
+    return ce, ce * max(1.0, pk.v2 / pk.v1, pk.v3 / pk.v1)
 
-    Built from the model's own functions: hill_bis, disturbance_at, then
-    controller_step (lp2_step, inverse_hill, the PI law, DiscretePk.step on
-    the internal model) or _rate_at, then DiscretePk.step on the plant.
-    Each step measures BIS, records the step, then advances the plant under
-    u held constant for the step.  A failure raises its error with the
-    failing step index attached.  Runs take this loop only to explain a
-    failure (_explain); it is also the tests' oracle.
+
+def _admit(scenario: Scenario, profile: InfusionProfile | None = None) -> ControllerConfig | None:
+    """The run's resolved controller config (None on an open loop, under
+    profile), once bounds known before step 0 show that no value of the run
+    can leave the float range: a run that starts runs to its end.
+
+    The PK model is a positive system (phi, gamma >= 0) started at 0, under
+    u in [0, u_bound]: u_max, or the profile's largest rate.  So ce and c1
+    stay at most u_bound / cl1, c2 and c3 v2 / v1 and v3 / v1 times that.
+    The nominal curve's inverse is at most C = ce50 * (e0 / floor)^(1/gamma)
+    and the conditionally frozen integrator stays in [0, u_max], so |err| <=
+    ce_ref + M + C, M the internal model's ce bound; each bound is doubled
+    for rounding.  Raises resolve_controller's error, then ModelError when
+    the Hill curve or a state overflows within its bound, then
+    ControllerError when the PI law or the internal model may, or when a
+    noisy reading could be NaN (a pulse sum beyond the float range).
     """
-    patient, h, disturbance = scenario.patient, scenario.h, scenario.disturbance
-    hill, advance = patient.hill, _discrete_pk(patient.pk, h).step
-    if profile is None:
-        cfg = resolve_controller(scenario)
-        cs = ControllerState.initial(cfg, awake_bis=hill.e0)
-        model = _discrete_pk(MODEL_PK, h)
-
-        # u, then what a step records between bm and the state and after it.
-        def control(t: float, bm: float) -> tuple:
-            ce_model = cs.model_state.ce
-            u = controller_step(cs, cfg, model, bm)
-            return u, (cs.f1.x2, u), (ce_model, cs.f2.x2, cfg.ce_ref)
-    else:
-        def control(t: float, bm: float) -> tuple:
-            u = _rate_at(profile, t)
-            return u, (u,), ()
-
-    state = ZERO_STATE
-    values: list[float] = []
-    for k, offset in enumerate(_offsets(scenario.noise, scenario.seed, scenario.n_steps)):
-        t = k * h
-        try:
-            bt = hill_bis(state.ce, hill)
-            bm = bt + disturbance_at(disturbance, t) + offset
-            bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
-            u, before, after = control(t, bm)
-            values.extend((t, bt, bm, *before, *state, *after))
-            state = advance(state, u)
-        except (ModelError, ControllerError) as e:
-            raise type(e)(f"{_failure_prefix(k, h)}{e}") from e
-    store = array("d")
-    _flush(store, values)
-    return _trajectory(store, profile is None)
-
-
-def _explain(scenario: Scenario, profile: InfusionProfile | None, k: int) -> NoReturn:
-    """Raise the error of a fast loop (_run or a lane) that failed at step k:
-    the per-step reference's if it fails at step k too, else RuntimeError."""
+    cfg = None if profile is not None else resolve_controller(scenario)
+    u_bound = cfg.u_max if cfg else max((rate for _, rate in profile), default=0.0)
+    hill = scenario.patient.hill
+    ce, c_max = _twice_steady_state(scenario.patient.pk, u_bound)
     try:
-        _reference_run(scenario, profile)
-    except BisloopError as e:
-        if str(e).startswith(_failure_prefix(k, scenario.h)):
-            raise
-    raise RuntimeError(f"a fast loop failed at step {k}; its reference did not")
+        x = ce ** hill.gamma
+    except OverflowError:
+        x = math.inf
+    if not all(map(math.isfinite, (hill.emax * x, x + hill.c50g, c_max))):
+        raise ModelError(f"under u <= {u_bound:.6g} mg/min ce may reach {ce / 2:.6g} mg/L, where "
+                         f"the Hill curve (gamma={hill.gamma:.6g}) or a state bound overflows")
+    if cfg is None:
+        return None
+    nominal = cfg.nominal
+    ceiling = nominal.ce50 * (nominal.e0 / INVERSE_HILL_FLOOR) ** (1.0 / nominal.gamma)
+    model_ce, model_max = _twice_steady_state(MODEL_PK, cfg.u_max)
+    err = 2.0 * (cfg.ce_ref + ceiling) + model_ce
+    if not all(map(math.isfinite, (cfg.kp * err + cfg.ki * err * scenario.h + cfg.u_max,
+                                   model_max))):
+        raise ControllerError(f"kp={cfg.kp:.6g}, ki={cfg.ki:.6g} and u_max={cfg.u_max:.6g} may "
+                              f"drive the PI law or the internal model beyond the float range")
+    pulses = sum(abs(p.amplitude) for p in scenario.disturbance)
+    if scenario.noise and not math.isfinite(2.0 * pulses):
+        raise ControllerError("a noisy reading could be NaN: the pulses sum beyond the float range")
+    return cfg
 
 
 def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajectory:
-    """The scalar step loop both runners share: _reference_run on local floats.
+    """The scalar step loop both runners share, after _admit: open loop under
+    profile when it is given, else closed loop.
 
     Every value of the loop is a local float: the plant's and the internal
     model's c1, c2, c3, ce, both filters and the integrator.  What does not
@@ -285,17 +271,13 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
     passthrough at tf = 0), the gains and ce_ref.  The pulse sum and the
     open-loop rate are re-read from disturbance_at and _rate_at only at
     steps reaching one of their _edges; in between they are constant.  Each
-    step repeats the reference's float operations in its order, so the two
-    agree bit for bit.  Open loop (profile given) is the same loop with the
-    controller block off.  Each step appends what it records to a list,
-    which _flush moves into one array of doubles every _FLUSH_STEPS steps.
-
-    States no failure of its own: an out-of-domain reading inverts to NaN,
-    and one finiteness test per step covers what the reference tests: bt,
-    u (which a NaN reading makes NaN), the model and the plant state.  When
-    it fails, or ce ** gamma overflows, _explain raises the reference's error
-    at that step.
+    step repeats the float operations of hill_bis, controller_step and
+    DiscretePk.step in their order, and agrees with a loop of those
+    functions bit for bit.  Open loop is the same loop with the controller
+    block off.  Each step appends what it records to a list, which _flush
+    moves into one array of doubles every _FLUSH_STEPS steps.
     """
+    cfg = _admit(scenario, profile)
     patient, h, disturbance = scenario.patient, scenario.h, scenario.disturbance
     hill = patient.hill
     e0, emax, gamma, c50g = hill.e0, hill.emax, hill.gamma, hill.c50g
@@ -303,13 +285,12 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
     (p11, p12, p13, p14), (p21, p22, p23, p24), (p31, p32, p33, p34), \
         (p41, p42, p43, p44) = plant.phi
     g1, g2, g3, g4 = plant.gamma
-    closed = profile is None
+    closed = cfg is not None
     edges = _edges(disturbance, () if closed else (start for start, _ in profile))
     if closed:
-        cfg = resolve_controller(scenario)
         nominal = cfg.nominal
         n_e0, n_emax_e0, n_ce50 = nominal.e0, nominal.emax - nominal.e0, nominal.ce50
-        inv_gamma = 1.0 / nominal.gamma
+        inv_gamma, floor = 1.0 / nominal.gamma, INVERSE_HILL_FLOOR
         kp, ki, u_max, ce_ref = cfg.kp, cfg.ki, cfg.u_max, cfg.ce_ref
         pass1, pass2 = cfg.tf1 == 0.0, cfg.tf2 == 0.0
         a1 = 0.0 if pass1 else 1.0 - math.exp(-h / cfg.tf1)
@@ -323,82 +304,68 @@ def _run(scenario: Scenario, profile: InfusionProfile | None = None) -> Trajecto
     edge = edges[0]
     d = u = c1 = c2 = c3 = ce = 0.0
     store, values, flush = array("d"), [], _FLUSH_STEPS
-    try:
-        for k, offset in enumerate(_offsets(scenario.noise, scenario.seed, scenario.n_steps)):
-            if k == flush:
-                _flush(store, values)
-                flush += _FLUSH_STEPS
-            t = k * h
-            if t >= edge:
-                d = disturbance_at(disturbance, t)
-                if not closed:
-                    u = _rate_at(profile, t)
-                edge = edges[bisect_right(edges, t)]
-            # The clamped ce is never negative; at ce = +-0.0, x is +-0.0
-            # and bt is e0 exactly, what hill_bis's ce <= 0 branch returns.
-            x = ce ** gamma
-            bt = e0 - emax * x / (x + c50g)
-            bm = bt + d + offset
-            bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
-            if closed:
-                if pass1:
-                    f1x1 = f1x2 = bm
-                else:
-                    f1x1 += a1 * (bm - f1x1)
-                    f1x2 += a1 * (f1x1 - f1x2)
-                if f1x2 >= n_e0:
-                    ce_meas = 0.0
-                else:
-                    den = n_emax_e0 + f1x2
-                    ce_meas = (n_ce50 * ((n_e0 - f1x2) / den) ** inv_gamma if den > 0.0
-                               else math.nan)
-                w = ce_meas - m4
-                if pass2:
-                    f2x1 = f2x2 = w
-                else:
-                    f2x1 += a2 * (w - f2x1)
-                    f2x2 += a2 * (f2x1 - f2x2)
-                err = ce_ref - (m4 + f2x2)
-                proposed = integrator + ki * err * h
-                u = kp * err + proposed
-                if (u > u_max and err > 0.0) or (u < 0.0 and err < 0.0):
-                    u = kp * err + integrator
-                else:
-                    integrator = proposed
-                u = 0.0 if u < 0.0 else (u_max if u > u_max else u)
-                values.extend((t, bt, bm, f1x2, u, c1, c2, c3, ce, m4, f2x2, ce_ref))
-                y1 = q11 * m1 + q12 * m2 + q13 * m3 + q14 * m4 + k1 * u
-                y2 = q21 * m1 + q22 * m2 + q23 * m3 + q24 * m4 + k2 * u
-                y3 = q31 * m1 + q32 * m2 + q33 * m3 + q34 * m4 + k3 * u
-                y4 = q41 * m1 + q42 * m2 + q43 * m3 + q44 * m4 + k4 * u
-                # (v - v) is 0.0 for a finite v and NaN otherwise, so check
-                # is NaN when any value is not.  A NaN reading, which the
-                # reference rejects, makes u NaN.
-                check = (u - u) + (y1 - y1) + (y2 - y2) + (y3 - y3) + (y4 - y4)
-                m1 = 0.0 if y1 < 0.0 else y1
-                m2 = 0.0 if y2 < 0.0 else y2
-                m3 = 0.0 if y3 < 0.0 else y3
-                m4 = 0.0 if y4 < 0.0 else y4
-            else:
-                check = 0.0
-                values.extend((t, bt, bm, u, c1, c2, c3, ce))
-            x1 = p11 * c1 + p12 * c2 + p13 * c3 + p14 * ce + g1 * u
-            x2 = p21 * c1 + p22 * c2 + p23 * c3 + p24 * ce + g2 * u
-            x3 = p31 * c1 + p32 * c2 + p33 * c3 + p34 * ce + g3 * u
-            x4 = p41 * c1 + p42 * c2 + p43 * c3 + p44 * ce + g4 * u
-            check += (bt - bt) + (x1 - x1) + (x2 - x2) + (x3 - x3) + (x4 - x4)
-            if check != check:
-                break
-            c1 = 0.0 if x1 < 0.0 else x1
-            c2 = 0.0 if x2 < 0.0 else x2
-            c3 = 0.0 if x3 < 0.0 else x3
-            ce = 0.0 if x4 < 0.0 else x4
-        else:
+    for k, offset in enumerate(_offsets(scenario.noise, scenario.seed, scenario.n_steps)):
+        if k == flush:
             _flush(store, values)
-            return _trajectory(store, closed)
-    except OverflowError:
-        pass
-    _explain(scenario, profile, k)
+            flush += _FLUSH_STEPS
+        t = k * h
+        if t >= edge:
+            d = disturbance_at(disturbance, t)
+            if not closed:
+                u = _rate_at(profile, t)
+            edge = edges[bisect_right(edges, t)]
+        # The clamped ce is never negative; at ce = +-0.0, x is +-0.0 and bt
+        # is e0 exactly, what hill_bis's ce <= 0 branch returns.
+        x = ce ** gamma
+        bt = e0 - emax * x / (x + c50g)
+        bm = bt + d + offset
+        bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
+        if closed:
+            if pass1:
+                f1x1 = f1x2 = bm
+            else:
+                f1x1 += a1 * (bm - f1x1)
+                f1x2 += a1 * (f1x1 - f1x2)
+            if f1x2 >= n_e0:
+                ce_meas = 0.0
+            else:
+                den = n_emax_e0 + f1x2
+                ce_meas = n_ce50 * ((n_e0 - f1x2) / (den if den > floor else floor)) ** inv_gamma
+            w = ce_meas - m4
+            if pass2:
+                f2x1 = f2x2 = w
+            else:
+                f2x1 += a2 * (w - f2x1)
+                f2x2 += a2 * (f2x1 - f2x2)
+            err = ce_ref - (m4 + f2x2)
+            proposed = integrator + ki * err * h
+            u = kp * err + proposed
+            if (u > u_max and err > 0.0) or (u < 0.0 and err < 0.0):
+                u = kp * err + integrator
+            else:
+                integrator = proposed
+            u = 0.0 if u < 0.0 else (u_max if u > u_max else u)
+            values.extend((t, bt, bm, f1x2, u, c1, c2, c3, ce, m4, f2x2, ce_ref))
+            y1 = q11 * m1 + q12 * m2 + q13 * m3 + q14 * m4 + k1 * u
+            y2 = q21 * m1 + q22 * m2 + q23 * m3 + q24 * m4 + k2 * u
+            y3 = q31 * m1 + q32 * m2 + q33 * m3 + q34 * m4 + k3 * u
+            y4 = q41 * m1 + q42 * m2 + q43 * m3 + q44 * m4 + k4 * u
+            m1 = 0.0 if y1 < 0.0 else y1
+            m2 = 0.0 if y2 < 0.0 else y2
+            m3 = 0.0 if y3 < 0.0 else y3
+            m4 = 0.0 if y4 < 0.0 else y4
+        else:
+            values.extend((t, bt, bm, u, c1, c2, c3, ce))
+        x1 = p11 * c1 + p12 * c2 + p13 * c3 + p14 * ce + g1 * u
+        x2 = p21 * c1 + p22 * c2 + p23 * c3 + p24 * ce + g2 * u
+        x3 = p31 * c1 + p32 * c2 + p33 * c3 + p34 * ce + g3 * u
+        x4 = p41 * c1 + p42 * c2 + p43 * c3 + p44 * ce + g4 * u
+        c1 = 0.0 if x1 < 0.0 else x1
+        c2 = 0.0 if x2 < 0.0 else x2
+        c3 = 0.0 if x3 < 0.0 else x3
+        ce = 0.0 if x4 < 0.0 else x4
+    _flush(store, values)
+    return _trajectory(store, closed)
 
 
 def run_closed_loop(scenario: Scenario) -> Trajectory:
@@ -406,8 +373,8 @@ def run_closed_loop(scenario: Scenario) -> Trajectory:
 
     The patient starts drug-free (BIS at the awake baseline).  Each step
     measures, controls, then advances the plant under the issued rate held
-    constant for the step.  Controller or integration failures abort the
-    run with the failing step index attached.
+    constant for the step.  A scenario whose run could leave the float
+    range raises before step 0 (_admit); a run that starts runs to its end.
     """
     return _run(scenario)
 
@@ -422,11 +389,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     each step repeats the scalar loop's float operations in its order,
     powers by np.float_power (the libm pow that float.__pow__ calls), and
     the plants and internal models advance by one DiscretePk step over 2L
-    columns.  A lane's BIS or state turns non-finite in the step where its
-    scalar loop fails; the first such lane goes to _explain, and the
-    reference's error at that step is raised with the lane named in front,
-    as run_many names a failing run.  So is a lane whose controller does not
-    resolve.
+    columns.  Every lane is admitted (_admit) before step 0, so no lane
+    value can leave the float range and no step checks one; a lane that
+    _admit rejects raises its error with the lane named in front, as
+    run_many names a failing run.
 
     Each step is a fixed sequence of ufunc calls, bound to locals, writing
     into buffers built once per run: the other signals live in one frame,
@@ -435,13 +401,10 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     whether a filter has passthrough lanes to overwrite, are decided once;
     the pulse sum's row is refilled at _edges, as in the scalar loop.
 
-    The clamps of the measured BIS, u and the state are np.fmax and np.fmin,
-    which differ from the scalar loop's comparisons only at NaN and at
-    -0.0, and neither difference can reach bis_measured:
-    - A NaN at a clamp means a value of checked is already non-finite in
-      that step, so the lane fails there, as its scalar loop does.  (u is
-      NaN only where err is: a step that would make the integrator
-      infinite drives u past a bound in err's direction, which freezes it.)
+    The clamps of the measured BIS, u and the state, and the inverse's
+    floors, are np.fmax and np.fmin, which differ from the scalar loop's
+    comparisons only at NaN, which an admitted lane never holds, and at
+    -0.0, which cannot reach bis_measured:
     - bm and the state are never -0.0.  bt is e0 > 0 less a value >= +0.0,
       and each state row sums phi[i][i] * c_i, which is +0.0 or positive,
       with other terms; a float sum with one operand that is not -0.0 is
@@ -452,149 +415,138 @@ def _closed_loop_lanes(scenarios: Sequence[Scenario]) -> np.ndarray:
     """
     import numpy as np
 
-    with np.errstate(all="ignore"):   # a failing lane's inf and NaN warn nothing
-        n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
-        patients = [s.patient for s in scenarios]
-        cfgs = [_named(resolve_controller, s) for s in scenarios]
+    n_lanes, h, n_steps = len(scenarios), scenarios[0].h, scenarios[0].n_steps
+    patients = [s.patient for s in scenarios]
+    cfgs = [_named(_admit, s) for s in scenarios]
 
-        def lanes(objs, keys: str) -> list[np.ndarray]:
-            return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
+    def lanes(objs, keys: str) -> list[np.ndarray]:
+        return [np.array([getattr(o, k) for o in objs], dtype=float) for k in keys.split()]
 
-        p_e0, p_emax, p_c50g, p_gamma = lanes([p.hill for p in patients], "e0 emax c50g gamma")
-        e0, emax, ce50, gamma = lanes([c.nominal for c in cfgs], "e0 emax ce50 gamma")
-        kp, ki, u_max, tf1, tf2, ce_ref = lanes(cfgs, "kp ki u_max tf1 tf2 ce_ref")
-        # inverse_hill's den is (emax - e0) + bis; its first sum is per lane.
-        emax_e0, inv_gamma = emax - e0, 1.0 / gamma
-        # Constants as lane arrays: a ufunc runs faster on an array operand than a float.
-        zero, hundred, nan, h_lanes = (np.full(n_lanes, v) for v in (0.0, 100.0, np.nan, h))
-        a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
-                  for tf in (tf1, tf2))
-        pass1, pass2 = (tf == 0.0 if (tf == 0.0).any() else None for tf in (tf1, tf2))
+    p_e0, p_emax, p_c50g, p_gamma = lanes([p.hill for p in patients], "e0 emax c50g gamma")
+    e0, emax, ce50, gamma = lanes([c.nominal for c in cfgs], "e0 emax ce50 gamma")
+    kp, ki, u_max, tf1, tf2, ce_ref = lanes(cfgs, "kp ki u_max tf1 tf2 ce_ref")
+    # inverse_hill's den is (emax - e0) + bis; its first sum is per lane.
+    emax_e0, inv_gamma = emax - e0, 1.0 / gamma
+    # Constants as lane arrays: a ufunc runs faster on an array operand than a float.
+    zero, hundred, floor, h_lanes = (np.full(n_lanes, v)
+                                     for v in (0.0, 100.0, INVERSE_HILL_FLOOR, h))
+    a1, a2 = (np.array([0.0 if x == 0.0 else 1.0 - math.exp(-h / x) for x in tf.tolist()])
+              for tf in (tf1, tf2))
+    pass1, pass2 = (tf == 0.0 if (tf == 0.0).any() else None for tf in (tf1, tf2))
 
-        # Columns 0..L-1 of the state are the patients, L..2L-1 the controller's
-        # internal models, each _discrete_pk(pk, h) as in the scalar loops.  Row i
-        # of a (4, 5, 2L) step is phi[i] . (c1, c2, c3, ce) + gamma[i] * u, in that order.
-        models = [_discrete_pk(pk, h) for pk in [p.pk for p in patients] + [MODEL_PK] * n_lanes]
-        step_matrix = np.stack([np.column_stack((m.phi, m.gamma)) for m in models], axis=-1)
-        edges = _edges(disturbance := scenarios[0].disturbance)
-        edge = edges[0]
+    # Columns 0..L-1 of the state are the patients, L..2L-1 the controller's
+    # internal models, each _discrete_pk(pk, h) as in the scalar loops.  Row i
+    # of a (4, 5, 2L) step is phi[i] . (c1, c2, c3, ce) + gamma[i] * u, in that order.
+    models = [_discrete_pk(pk, h) for pk in [p.pk for p in patients] + [MODEL_PK] * n_lanes]
+    step_matrix = np.stack([np.column_stack((m.phi, m.gamma)) for m in models], axis=-1)
+    edges = _edges(disturbance := scenarios[0].disturbance)
+    edge = edges[0]
 
-        # The frame's rows: bt, the two filter outputs, then the plant state c1,
-        # c2, c3, ce and the rate u, each as a patient row and a model row.  The
-        # model's u row holds err until u is copied into it, so that (u, err) is
-        # one (2, L) operand of the anti-windup test.
-        frame = np.zeros((13, n_lanes))
-        bt, bis_f, i_t = frame[:3]
-        state_and_u = frame[3:].reshape(5, 2 * n_lanes)
-        state = state_and_u[:4]
-        ce, ce_model, u, err = frame[9:]
-        u_model, u_err = err, frame[11:]
-        bis_f[:] = p_e0
-        f1_x1 = p_e0.copy()
-        f2_x1, integrator, proposed, x, tmp, den, ratio, kp_err, pulse = np.zeros((9, n_lanes))
-        # over = (u > u_max, err > 0) and under = (u < 0, err < 0), by rows.
-        upper, lower = np.stack((u_max, zero)), np.zeros((2, n_lanes))
-        over, under = np.empty((2, 2, n_lanes), dtype=bool)
-        (u_high, err_pos), (u_low, err_neg) = over, under
-        mask, low = np.empty((2, n_lanes), dtype=bool)
-        state_zero, product = np.zeros_like(state), np.empty_like(step_matrix)
-        # The finiteness test covers bt, the filter outputs and the state, lanes
-        # as columns; a non-finite reading or u shows in them within the step.
-        checked = frame[:11]
-        finite = np.empty(checked.shape, dtype=bool)
-        n_checked = finite.size
+    # The frame's rows: bt, the two filter outputs, then the plant state c1,
+    # c2, c3, ce and the rate u, each as a patient row and a model row.  The
+    # model's u row holds err until u is copied into it, so that (u, err) is
+    # one (2, L) operand of the anti-windup test.
+    frame = np.zeros((13, n_lanes))
+    bt, bis_f, i_t = frame[:3]
+    state_and_u = frame[3:].reshape(5, 2 * n_lanes)
+    state = state_and_u[:4]
+    ce, ce_model, u, err = frame[9:]
+    u_model, u_err = err, frame[11:]
+    bis_f[:] = p_e0
+    f1_x1 = p_e0.copy()
+    f2_x1, integrator, proposed, x, tmp, den, ratio, kp_err, pulse = np.zeros((9, n_lanes))
+    # over = (u > u_max, err > 0) and under = (u < 0, err < 0), by rows.
+    upper, lower = np.stack((u_max, zero)), np.zeros((2, n_lanes))
+    over, under = np.empty((2, 2, n_lanes), dtype=bool)
+    (u_high, err_pos), (u_low, err_neg) = over, under
+    mask, low = np.empty((2, n_lanes), dtype=bool)
+    state_zero, product = np.zeros_like(state), np.empty_like(step_matrix)
 
-        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-        float_power, fmax, fmin, copyto = np.float_power, np.fmax, np.fmin, np.copyto
-        greater, less, less_equal = np.greater, np.less, np.less_equal
-        logical_and, logical_or, isfinite, count_nonzero = (np.logical_and, np.logical_or,
-                                                           np.isfinite, np.count_nonzero)
-        reduce_terms = np.add.reduce
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    float_power, fmax, fmin, copyto = np.float_power, np.fmax, np.fmin, np.copyto
+    greater, less, logical_and, logical_or = np.greater, np.less, np.logical_and, np.logical_or
+    reduce_terms = np.add.reduce
 
-        out = np.empty((n_steps, n_lanes))
-        for step, bm in enumerate(out):
-            t = step * h
-            if t >= edge:
-                pulse.fill(disturbance_at(disturbance, t))
-                edge = edges[bisect_right(edges, t)]
-            # The patient's BIS and the monitor's reading of it.  At ce = 0 this
-            # gives e0 exactly, as hill_bis's ce <= 0 branch does.
-            float_power(ce, p_gamma, x)
-            add(x, p_c50g, tmp)
-            multiply(p_emax, x, x)
-            divide(x, tmp, x)
-            subtract(p_e0, x, bt)
-            add(bt, pulse, bm)
-            fmax(bm, zero, bm)
-            fmin(bm, hundred, bm)
+    out = np.empty((n_steps, n_lanes))
+    for step, bm in enumerate(out):
+        t = step * h
+        if t >= edge:
+            pulse.fill(disturbance_at(disturbance, t))
+            edge = edges[bisect_right(edges, t)]
+        # The patient's BIS and the monitor's reading of it.  At ce = 0 this
+        # gives e0 exactly, as hill_bis's ce <= 0 branch does.
+        float_power(ce, p_gamma, x)
+        add(x, p_c50g, tmp)
+        multiply(p_emax, x, x)
+        divide(x, tmp, x)
+        subtract(p_e0, x, bt)
+        add(bt, pulse, bm)
+        fmax(bm, zero, bm)
+        fmin(bm, hundred, bm)
 
-            # Pre-filter: lp2_step; tf1 = 0 lanes take bm after each section.
-            subtract(bm, f1_x1, tmp)
-            multiply(a1, tmp, tmp)
-            add(f1_x1, tmp, f1_x1)
-            if pass1 is not None:
-                copyto(f1_x1, bm, where=pass1)
-            subtract(f1_x1, bis_f, tmp)
-            multiply(a1, tmp, tmp)
-            add(bis_f, tmp, bis_f)
-            if pass1 is not None:
-                copyto(bis_f, bm, where=pass1)
+        # Pre-filter: lp2_step; tf1 = 0 lanes take bm after each section.
+        subtract(bm, f1_x1, tmp)
+        multiply(a1, tmp, tmp)
+        add(f1_x1, tmp, f1_x1)
+        if pass1 is not None:
+            copyto(f1_x1, bm, where=pass1)
+        subtract(f1_x1, bis_f, tmp)
+        multiply(a1, tmp, tmp)
+        add(bis_f, tmp, bis_f)
+        if pass1 is not None:
+            copyto(bis_f, bm, where=pass1)
 
-            # Inverse nominal curve.  Readings at or above e0 map to +0.0, as in
-            # inverse_hill.  A validated target keeps den > 0 at every reading
-            # >= e0, so den <= 0 is exactly inverse_hill's out-of-domain case: NaN.
-            add(emax_e0, bis_f, den)
-            subtract(e0, bis_f, ratio)
-            divide(ratio, den, ratio)
-            fmax(ratio, zero, ratio)
-            less_equal(den, zero, mask)
-            copyto(ratio, nan, where=mask)
-            float_power(ratio, inv_gamma, ratio)
-            multiply(ce50, ratio, ratio)
-            subtract(ratio, ce_model, ratio)
+        # Inverse nominal curve, its denominator floored as in inverse_hill.
+        # Readings at or above e0 map to +0.0, as there.
+        add(emax_e0, bis_f, den)
+        fmax(den, floor, den)
+        subtract(e0, bis_f, ratio)
+        divide(ratio, den, ratio)
+        fmax(ratio, zero, ratio)
+        float_power(ratio, inv_gamma, ratio)
+        multiply(ce50, ratio, ratio)
+        subtract(ratio, ce_model, ratio)
 
-            # Innovation filter on the model discrepancy, as the pre-filter.
-            subtract(ratio, f2_x1, tmp)
-            multiply(a2, tmp, tmp)
-            add(f2_x1, tmp, f2_x1)
-            if pass2 is not None:
-                copyto(f2_x1, ratio, where=pass2)
-            subtract(f2_x1, i_t, tmp)
-            multiply(a2, tmp, tmp)
-            add(i_t, tmp, i_t)
-            if pass2 is not None:
-                copyto(i_t, ratio, where=pass2)
-            add(ce_model, i_t, err)
-            subtract(ce_ref, err, err)
+        # Innovation filter on the model discrepancy, as the pre-filter.
+        subtract(ratio, f2_x1, tmp)
+        multiply(a2, tmp, tmp)
+        add(f2_x1, tmp, f2_x1)
+        if pass2 is not None:
+            copyto(f2_x1, ratio, where=pass2)
+        subtract(f2_x1, i_t, tmp)
+        multiply(a2, tmp, tmp)
+        add(i_t, tmp, i_t)
+        if pass2 is not None:
+            copyto(i_t, ratio, where=pass2)
+        add(ce_model, i_t, err)
+        subtract(ce_ref, err, err)
 
-            # The PI law with conditional-integration anti-windup: where
-            # integrating would push further into the active constraint, the
-            # integrator keeps its value.  Either way u is kp * err plus the
-            # integrator's new value, then clamped to [0, u_max].
-            multiply(kp, err, kp_err)
-            multiply(ki, err, proposed)
-            multiply(proposed, h_lanes, proposed)
-            add(integrator, proposed, proposed)
-            add(kp_err, proposed, u)
-            greater(u_err, upper, over)
-            less(u_err, lower, under)
-            logical_and(u_high, err_pos, mask)
-            logical_and(u_low, err_neg, low)
-            logical_or(mask, low, mask)
-            copyto(proposed, integrator, where=mask)
-            integrator, proposed = proposed, integrator
-            add(kp_err, integrator, u)
-            fmax(u, zero, u)
-            fmin(u, u_max, u)
+        # The PI law with conditional-integration anti-windup: where
+        # integrating would push further into the active constraint, the
+        # integrator keeps its value.  Either way u is kp * err plus the
+        # integrator's new value, then clamped to [0, u_max].
+        multiply(kp, err, kp_err)
+        multiply(ki, err, proposed)
+        multiply(proposed, h_lanes, proposed)
+        add(integrator, proposed, proposed)
+        add(kp_err, proposed, u)
+        greater(u_err, upper, over)
+        less(u_err, lower, under)
+        logical_and(u_high, err_pos, mask)
+        logical_and(u_low, err_neg, low)
+        logical_or(mask, low, mask)
+        copyto(proposed, integrator, where=mask)
+        integrator, proposed = proposed, integrator
+        add(kp_err, integrator, u)
+        fmax(u, zero, u)
+        fmin(u, u_max, u)
 
-            # Advance plants and models under u.
-            copyto(u_model, u)
-            multiply(step_matrix, state_and_u, product)
-            reduce_terms(product, axis=1, out=state)
-            if count_nonzero(isfinite(checked, finite)) < n_checked:
-                _named(_explain, scenarios[int(np.argmin(finite.all(axis=0)))], None, step)
-            fmax(state, state_zero, state)
-        return out
+        # Advance plants and models under u.
+        copyto(u_model, u)
+        multiply(step_matrix, state_and_u, product)
+        reduce_terms(product, axis=1, out=state)
+        fmax(state, state_zero, state)
+    return out
 
 
 def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
@@ -626,10 +578,11 @@ def run_open_loop(patient: VirtualPatient, profile: float | InfusionProfile,
 def run_many(scenarios: Iterable[Scenario]) -> list[Trajectory]:
     """run_closed_loop on every scenario, in input order.
 
-    The first scenario that fails raises run_closed_loop's error for it, of
-    the same type, with 'patient <id>, tf2=<tf2> min: ' in front.
+    Every scenario is admitted before the first run: the first that
+    _admit rejects raises run_closed_loop's error for it, of the same type,
+    with 'patient <id>, tf2=<tf2> min: ' in front.
     """
     scenarios = list(scenarios)
-    for scenario in scenarios:  # a target some patient cannot reach fails before any run
-        _named(resolve_controller, scenario)
+    for scenario in scenarios:  # a scenario that cannot run fails before any run
+        _named(_admit, scenario)
     return [_named(run_closed_loop, scenario) for scenario in scenarios]

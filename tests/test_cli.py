@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,17 +18,26 @@ from bisloop import cli, metrics
 from bisloop.cli import main
 from bisloop.scenario_io import TRAJECTORY_CSV_HEADER
 
-# The first bolus drives ce ** gamma beyond the float range at step 1.
+# The first bolus would drive ce ** gamma beyond the float range at step 1:
+# the run is rejected before step 0.
 HILL_OVERFLOW = {"patient_id": 13, "duration_min": 1,
                  "controller": {"u_max_mg_min": 1e300, "kp": 1e300, "nominal_e0": 93.1}}
-# ce ** gamma stays finite, but emax * ce ** gamma overflows: the Hill curve
-# reads -inf from step 130 on.
+# ce ** gamma would stay finite, but emax * ce ** gamma would overflow: the
+# Hill curve would read -inf from step 130 on, so the run is rejected too.
 HILL_NON_FINITE = {"patient": {"id": 5, "age": 38, "height_cm": 169, "weight_kg": 65, "sex": "F",
                                "ce50": 1.0, "gamma": 2.0, "e0": 95.0, "emax": 94.0},
                    "duration_min": 5,
                    "controller": {"kp": 1e300, "u_max_mg_min": 1e156, "nominal_e0": 80.0}}
 # Patient 10's awake BIS is 83.1, below the target; patients 1-9 reach it.
 UNREACHABLE = {"duration_min": 1, "controller": {"target_bis": 85}}
+# The two documents whose low reading once aborted the controller part-way:
+# the filtered BIS falls below the nominal curve's reach, at step 1 and at
+# step 1221 (20.35 min).
+LOW_READINGS = [{"patient_id": 13, "h_min": 5},
+                {"patient_id": 13,
+                 "disturbance": [{"start_min": 20, "duration_min": 2, "amplitude_bis": -60}]}]
+# An error that names the step a run failed at, as none may any more.
+STEP_ERROR = re.compile(r"step \d+ \(t=")
 P13 = {"id": 13, "age": 38, "height_cm": 169, "weight_kg": 65, "sex": "F",
        "ce50": 7.42, "gamma": 2, "e0": 93.1, "emax": 96.58}
 
@@ -125,12 +137,21 @@ class TestSimulate:
     def test_hill_overflow_exits_3(self, scenario_file, capsys):
         assert main(["simulate", "--scenario", scenario_file(HILL_OVERFLOW)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: step 1 (t=0.0167 min): Hill curve overflows: ce=")
+        assert err.startswith("error: under u <= 1e+300 mg/min ce may reach ")
+        assert "step" not in err
 
     def test_non_finite_hill_curve_exits_3(self, scenario_file, capsys):
         assert main(["simulate", "--scenario", scenario_file(HILL_NON_FINITE)]) == 3
-        assert capsys.readouterr().err == ("error: step 130 (t=2.1667 min): Hill curve overflows: "
-                                           "ce=1.38427e+153 mg/L, gamma=2\n")
+        assert capsys.readouterr().err == (
+            "error: under u <= 1e+156 mg/min ce may reach 5.25185e+155 mg/L, where the Hill "
+            "curve (gamma=2) or a state bound overflows\n")
+
+    @pytest.mark.parametrize("doc", LOW_READINGS, ids=["h_5_min", "pulse_minus_60"])
+    def test_low_reading_runs_to_the_end(self, scenario_file, capsys, doc):
+        assert main(["simulate", "--scenario", scenario_file(doc)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == (12 if doc.get("h_min") == 5 else 3600)
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
     @pytest.mark.parametrize("patient", [{"ce50": 1e200}, {"ce50": 1e-200}, {"age": 10**400}])
     def test_patient_beyond_the_float_range_exits_2(self, scenario_file, capsys, patient):
@@ -278,8 +299,12 @@ class TestAnyDocument:
         path = tmp_path_factory.getbasetemp() / "any_document.json"
         path.write_text(json.dumps(doc))
         plot = tmp_path_factory.getbasetemp() / "any_document.svg"
-        assert main(["simulate", "--scenario", str(path), "--out", os.devnull,
-                     "--plot", str(plot)]) in (0, 2, 3, 4)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["simulate", "--scenario", str(path), "--out", os.devnull,
+                         "--plot", str(plot)]) in (0, 2, 3, 4)
+        # A run fails before its step 0 or not at all.
+        assert not any(STEP_ERROR.search(line) for line in err.getvalue().splitlines())
 
 
 class TestCohortCommand:
@@ -310,8 +335,8 @@ class TestCohortCommand:
                           "sys.exit(main(sys.argv[1:]))", "cohort", "--scenario",
                           scenario_file(HILL_OVERFLOW))
         assert proc.returncode == 3
-        assert proc.stderr.startswith("error: patient 1, tf2=0.163118 min: "
-                                      "step 1 (t=0.0167 min): Hill curve overflows: ce=")
+        assert proc.stderr.startswith("error: patient 1, tf2=0.163118 min: under u <= 1e+300 "
+                                      "mg/min ce may reach ")
         assert proc.stderr.count("\n") == 1
 
     def test_run_failing_before_its_first_step_is_named(self, scenario_file, capsys):
@@ -374,11 +399,26 @@ class TestTuneCommand:
         with pytest.raises(AssertionError, match=f"a sweep of {cli.MAX_STEPS} points"):
             main(["tune-tf2", "--grid", f"0:{cli.MAX_STEPS - 1}:1"])
 
-    def test_controller_failure_in_a_lane_exits_4(self, scenario_file, capsys):
+    def test_low_reading_in_every_lane_exits_0(self, scenario_file, capsys):
+        # Each lane's filtered BIS falls below the nominal curve's reach at
+        # step 1, where its inverse saturates.
         path = scenario_file({"duration_min": 30, "h_min": 5.0})
+        assert main(["tune-tf2", "--grid", "0.5:0.5:0.5", "--threshold", "inf",
+                     "--scenario", path]) == 0
+
+    def test_controller_rejected_in_a_lane_exits_4(self, scenario_file, capsys):
+        path = scenario_file({"duration_min": 30, "controller": {"kp": 1e308}})
         assert main(["tune-tf2", "--grid", "0.5:0.5:0.5", "--scenario", path]) == 4
         err = capsys.readouterr().err
-        assert "patient 1, tf2=0 min: step 1 (t=5.0000 min): " in err
+        assert err.startswith("error: patient 1, tf2=0 min: kp=1e+308, ki=2.5 and u_max=200 ")
+        assert not STEP_ERROR.search(err)
+        assert err.count("\n") == 1
+
+    def test_negative_grid_start_exits_2_before_the_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "tune_tf2", None)   # a sweep would raise TypeError
+        assert main(["tune-tf2", "--grid=-1:0:0.5"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --grid expects 0 <= A <= B and STEP > 0, got '-1:0:0.5'\n"
 
     def test_lane_failing_before_its_first_step_is_named(self, scenario_file, capsys):
         path = scenario_file(UNREACHABLE)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bisloop import (ControllerConfig, ControllerError, ControllerState, DiscretePk,
                      Lp2State, ModelError, PatientState, cohort_member,
                      controller_step, inverse_hill, lp2_step)
+from bisloop.control import INVERSE_HILL_FLOOR
 
 NOMINAL_P13 = ControllerConfig(nominal_e0=93.1).nominal
 
@@ -29,9 +30,24 @@ class TestInverseHill:
         assert got == pytest.approx(4.865947790082468)
         assert got == pytest.approx(4.866, abs=1e-3)
 
-    def test_out_of_domain(self):
-        with pytest.raises(ControllerError, match="out of domain"):
-            inverse_hill(5.0, NOMINAL_P13)  # emax - e0 + bis = -0.6
+    def test_below_reach_saturates(self):
+        # emax - e0 + bis = -0.6 at bis 5: the denominator is floored at
+        # INVERSE_HILL_FLOOR = 1 BIS, so the inverse is finite and reaches its
+        # ceiling ce50 * (e0 / 1)^(1/gamma) at bis 0
+        assert INVERSE_HILL_FLOOR == 1.0
+        assert inverse_hill(5.0, NOMINAL_P13) == 4.92 * (93.1 - 5.0) ** (1 / 2.69)
+        assert inverse_hill(0.0, NOMINAL_P13) == 4.92 * 93.1 ** (1 / 2.69)
+        assert inverse_hill(0.0, NOMINAL_P13) == pytest.approx(26.540961807171215, rel=1e-15)
+        assert inverse_hill(0.0, ControllerConfig(nominal_e0=100.0).nominal) < 27.3
+
+    @given(st.floats(0.0, 100.0), st.floats(0.0, 100.0), st.floats(60.0, 100.0))
+    def test_monotone_finite_and_bounded(self, bis, other, e0):
+        # monotone through the floor at bis = e0 - emax + 1, and at most
+        # the ceiling, for every reading a monitor can give
+        nominal = ControllerConfig(nominal_e0=e0).nominal
+        lo, hi = sorted((bis, other))
+        assert 0.0 <= inverse_hill(hi, nominal) <= inverse_hill(lo, nominal) \
+            <= 4.92 * e0 ** (1 / 2.69)
 
     @given(st.floats(0.01, 20.0))
     def test_round_trip_with_hill(self, ce):

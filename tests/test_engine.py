@@ -5,18 +5,20 @@ import tracemalloc
 from array import array
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bisloop import (BisloopError, ControllerConfig, ControllerError, Demographics,
-                     DisturbancePulse, HillParams, ModelError, Scenario, ScenarioError, Sex,
-                     VirtualPatient, cohort_member, disturbance_at, noise_stream,
-                     run_closed_loop, run_many, run_open_loop, tune_tf2,
-                     write_trajectory_csv)
+from bisloop import (BisloopError, ControllerConfig, ControllerError, ControllerState,
+                     Demographics, DisturbancePulse, HillParams, ModelError, Scenario,
+                     ScenarioError, Sex, VirtualPatient, cohort_member,
+                     controller_step, disturbance_at, hill_bis, noise_stream, run_closed_loop,
+                     run_many, run_open_loop, tune_tf2, write_trajectory_csv)
 from bisloop import engine
-from bisloop.control import DEFAULT_TF2_MIN, inverse_hill
+from bisloop.control import DEFAULT_TF2_MIN, MODEL_PK, inverse_hill
 from bisloop.engine import MAX_STEPS, TRAJECTORY_FIELDS
+from bisloop.patient import ZERO_STATE
 from bisloop.metrics import default_tuning_scenario, induction_time
 
 
@@ -117,14 +119,18 @@ class TestClosedLoop:
         assert all(0.0 <= u <= s.controller.u_max for u in traj.u)
         assert all(0.0 <= v <= 100.0 for v in traj.bis_measured)
 
-    def test_error_carries_step_index(self):
-        # a huge negative artifact drags the filtered BIS below the reach of
-        # the nominal curve; the run must abort naming the failing step
-        from bisloop import ControllerError
+    def test_reading_below_the_curves_reach_saturates(self):
+        # a huge negative artifact pins the monitor at 0, below the nominal
+        # curve's reach: the inverse saturates at its ceiling, far above the
+        # target, so the pump stops, and the run goes on to its end
         s = Scenario(patient=13, duration=2.0,
                      disturbance=(DisturbancePulse(0.0, 2.0, -1000.0),))
-        with pytest.raises(ControllerError, match=r"step \d+"):
-            run_closed_loop(s)
+        traj = run_closed_loop(s)
+        assert len(traj) == 120
+        assert set(traj.bis_measured) == {0.0}
+        assert traj.u[-1] == 0.0
+        ceiling = 4.92 * (93.1 / 1.0) ** (1 / 2.69)
+        assert traj.ce_model[-1] + traj.i_t[-1] == pytest.approx(ceiling, rel=1e-2)
 
     def test_target_inverted_once_per_run(self, monkeypatch):
         # inverse_hill is called once, for the target concentration, which the
@@ -294,7 +300,7 @@ class TestStepSizeSensitivity:
 
 
 # Every run setting varies.  A deep negative pulse can pin the monitor at 0,
-# where the nominal curve has no preimage, so some inputs fail.
+# below the nominal curve's reach, where its inverse saturates.
 PULSES = st.lists(st.builds(DisturbancePulse, st.floats(0.0, 1.5), st.floats(0.05, 1.0),
                             st.floats(-100.0, 30.0)), max_size=2).map(tuple)
 CONTROLLERS = st.builds(
@@ -307,22 +313,90 @@ SCENARIOS = st.builds(Scenario, patient=st.integers(1, 13), controller=CONTROLLE
                       disturbance=PULSES, seed=st.integers(0, 2**32))
 
 
-# Runs that fail, one per way a run can fail once it has started.  At h = 5
-# min the filtered BIS of patient 13 reaches 0 at step 1, below the nominal
-# curve's reach; at kp = u_max = 1e300 the first bolus drives ce ** gamma
-# beyond the float range at step 1.  On the last patient ce ** gamma stays
-# finite but emax * ce ** gamma overflows at step 130: the curve reads -inf.
+def reference_run(scenario, profile=None):
+    """The per-step reference loop, which _run and the lanes are pinned to:
+    open loop under profile when it is given, else closed loop.
+
+    Built from the model's own functions: hill_bis, disturbance_at, then
+    controller_step (lp2_step, inverse_hill, the PI law, DiscretePk.step on
+    the internal model) or the profile's rate, then DiscretePk.step on the
+    plant.  Each step measures BIS, records the step, then advances the plant
+    under u held constant for the step.  It admits nothing before step 0:
+    a value that leaves the float range raises from its function's own check.
+    """
+    patient, h, disturbance = scenario.patient, scenario.h, scenario.disturbance
+    hill, advance = patient.hill, engine._discrete_pk(patient.pk, h).step
+    if profile is None:
+        cfg = engine.resolve_controller(scenario)
+        cs = ControllerState.initial(cfg, awake_bis=hill.e0)
+        model = engine._discrete_pk(MODEL_PK, h)
+
+        # u, then what a step records between bm and the state and after it.
+        def control(t, bm):
+            ce_model = cs.model_state.ce
+            u = controller_step(cs, cfg, model, bm)
+            return u, (cs.f1.x2, u), (ce_model, cs.f2.x2, cfg.ce_ref)
+    else:
+        def control(t, bm):
+            u = engine._rate_at(profile, t)
+            return u, (u,), ()
+
+    state = ZERO_STATE
+    values = []
+    for k, offset in enumerate(engine._offsets(scenario.noise, scenario.seed, scenario.n_steps)):
+        t = k * h
+        bt = hill_bis(state.ce, hill)
+        bm = bt + disturbance_at(disturbance, t) + offset
+        bm = 0.0 if bm < 0.0 else (100.0 if bm > 100.0 else bm)
+        u, before, after = control(t, bm)
+        values.extend((t, bt, bm, *before, *state, *after))
+        state = advance(state, u)
+    store = array("d")
+    engine._flush(store, values)
+    return engine._trajectory(store, profile is None)
+
+
+# A step index in an error message, as a run that failed part-way once named it.
+STEP = re.compile(r"step \d+")
+
+# The two inputs whose low reading once aborted the controller part-way: at
+# h = 5 min the filtered BIS of patient 13 reads 0 at step 1, and a -60 pulse
+# at 20-22 min pulls it to 5.5 at step 1221, both below the nominal curve's
+# reach.  Each now runs to its end on the saturated inverse.
+LOW_READINGS = {
+    "h_5_min": Scenario(patient=13, h=5.0),
+    "pulse_minus_60": Scenario(patient=13, disturbance=(DisturbancePulse(20.0, 2.0, -60.0),)),
+}
+
+# Inputs rejected before step 0, one per bound a run could leave, with the
+# error each raises.  At kp = u_max = 1e300 the first bolus would drive
+# ce ** gamma beyond the float range at step 1.  On the next patient
+# ce ** gamma would stay finite, but emax * ce ** gamma would overflow at
+# step 130: the curve would read -inf.  At kp = 1e308, kp * err would
+# overflow at step 0.  Two pulses of 1e308 sum to inf, which an offset of
+# -inf from noise of sigma 1e308 would turn into a NaN reading at step 12.
 HILL_NON_FINITE_PATIENT = VirtualPatient(
     5, Demographics(age=38, height_cm=169.0, weight_kg=65.0, sex=Sex.FEMALE),
     HillParams(e0=95.0, emax=94.0, ce50=1.0, gamma=2.0))
 FAILING = {
-    "out_of_domain": replace(default_tuning_scenario(), h=5.0),
-    "hill_overflow": Scenario(patient=13, duration=1.0,
-                              controller=ControllerConfig(kp=1e300, u_max=1e300)),
-    "hill_non_finite": Scenario(patient=HILL_NON_FINITE_PATIENT, duration=5.0,
-                                controller=ControllerConfig(kp=1e300, u_max=1e156,
-                                                            nominal_e0=80.0)),
+    "hill_overflow": (Scenario(patient=13, duration=1.0,
+                               controller=ControllerConfig(kp=1e300, u_max=1e300)),
+                      ModelError, r"^under u <= 1e\+300 mg/min ce may reach 5\.25185e\+299 mg/L, "
+                                  r"where the Hill curve \(gamma=3\) or a state bound overflows$"),
+    "hill_non_finite": (Scenario(patient=HILL_NON_FINITE_PATIENT, duration=5.0,
+                                 controller=ControllerConfig(kp=1e300, u_max=1e156,
+                                                             nominal_e0=80.0)),
+                        ModelError, r"^under u <= 1e\+156 mg/min ce may reach 5\.25185e\+155 mg/L, "
+                                    r"where the Hill curve \(gamma=2\)"),
+    "gain_overflow": (Scenario(patient=13, duration=1.0, controller=ControllerConfig(kp=1e308)),
+                      ControllerError, r"^kp=1e\+308, ki=2\.5 and u_max=200 may drive the PI "
+                                       r"law or the internal model beyond the float range"),
+    "nan_reading": (Scenario(patient=13, duration=1.0, noise=1e308,
+                             disturbance=(DisturbancePulse(0.0, 1.0, 1e308),) * 2),
+                    ControllerError, r"^a noisy reading could be NaN: the pulses sum beyond "),
 }
+# The noise-free ones, which a lane can hold.
+LANE_FAILING = [kind for kind, (scenario, _, _) in FAILING.items() if scenario.noise == 0.0]
 
 
 # Pulse profiles at their edges: overlapping pulses whose edges land exactly
@@ -343,31 +417,53 @@ EDGE_RUNS = [
 ]
 
 
-def _runs_through(scenario):
-    """The scenario on patient 1 with the controller off: it runs to the end."""
-    return replace(scenario, patient=1,
-                   controller=replace(scenario.controller, kp=0.0, ki=0.0))
+def _admitted(scenario):
+    """The scenario on patient 1 under the default controller, noise-free: it
+    runs."""
+    return replace(scenario, patient=1, controller=ControllerConfig(), noise=0.0)
 
 
-def _failure(scenario):
-    """The step at which run_closed_loop fails (-1 before the run) and the
-    error type, or None when it runs."""
+def _error(scenario):
+    """run_closed_loop's error for scenario, or None when it runs."""
     try:
         run_closed_loop(scenario)
     except BisloopError as e:
-        step = re.match(r"step (\d+) ", str(e))
-        return (int(step.group(1)) if step else -1), type(e)
+        return e
     return None
+
+
+def _named_error(scenario):
+    """The error run_many and the lanes raise for scenario: its type, and
+    run_closed_loop's message with the run named in front."""
+    e = _error(scenario)
+    return type(e), (f"patient {scenario.patient.id}, "
+                     f"tf2={scenario.controller.tf2:.6g} min: {e}")
+
+
+def _rejected(monkeypatch, run, *args):
+    """run(*args)'s error, checked to come before any run's step 0: no run
+    reads its pulse edges, and the message names no step."""
+    starts = []
+    real_edges = engine._edges
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_edges", lambda *a: starts.append(a) or real_edges(*a))
+        with pytest.raises(BisloopError) as info:
+            run(*args)
+    assert starts == []
+    assert not STEP.search(str(info.value))
+    return type(info.value), str(info.value)
 
 
 class TestRunMany:
     @settings(max_examples=30)
-    @example(scenarios=[_runs_through(FAILING["out_of_domain"]), FAILING["out_of_domain"]])
-    @example(scenarios=[_runs_through(FAILING["hill_overflow"]), FAILING["hill_overflow"]])
+    @example(scenarios=[_admitted(FAILING["hill_overflow"][0]), FAILING["hill_overflow"][0]])
+    @example(scenarios=[_admitted(FAILING["gain_overflow"][0]), FAILING["gain_overflow"][0]])
+    @example(scenarios=list(LOW_READINGS.values()))
     @given(scenarios=st.lists(SCENARIOS, min_size=1, max_size=6))
     def test_equals_run_closed_loop_bit_for_bit(self, scenarios):
-        # The first failing scenario in input order raises its error, named.
-        failing = next((s for s in scenarios if _failure(s)), None)
+        # The first scenario that run_closed_loop rejects, in input order,
+        # raises its error, named.
+        failing = next((s for s in scenarios if _error(s)), None)
         if failing is not None:
             with pytest.raises(BisloopError) as info:
                 run_many(scenarios)
@@ -376,15 +472,12 @@ class TestRunMany:
         assert [repr(asdict(t)) for t in run_many(scenarios)] == \
             [repr(asdict(run_closed_loop(s))) for s in scenarios]
 
-    def test_first_failing_scenario_in_input_order_raises(self):
-        # At one duration: a fails at step 130, b at step 1, and a comes first.
-        a = FAILING["hill_non_finite"]
-        b = replace(FAILING["hill_overflow"], duration=a.duration)
-        assert _failure(a)[0] > _failure(b)[0]
-        with pytest.raises(ModelError) as info:
-            run_many([a, b])
-        assert str(info.value) == _named_error(a)[1]
-        assert str(info.value).startswith("patient 5, ")
+    def test_first_failing_scenario_in_input_order_raises(self, monkeypatch):
+        # a once failed at step 130 and b at step 1; both are rejected
+        # before any run, and a comes first.
+        a, b = FAILING["hill_non_finite"][0], FAILING["hill_overflow"][0]
+        assert _rejected(monkeypatch, run_many, [a, b]) == _named_error(a)
+        assert _named_error(a)[1].startswith("patient 5, ")
 
     def test_run_failing_before_its_first_step_is_named(self):
         # Patient 10's awake BIS, 83.1, lies below the target: its controller
@@ -422,11 +515,6 @@ class TestRunMany:
             assert a.u == b.u
 
 
-def _reference(scenario):
-    """scenario through the per-step reference loop."""
-    return engine._reference_run(scenario)
-
-
 def _outcome(run, *args):
     """repr(asdict) of a run's trajectory, or its error's type and message."""
     try:
@@ -448,8 +536,8 @@ BREAKPOINTS = st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.
 
 
 class TestScalarKernel:
-    """run_closed_loop and run_open_loop equal the per-step reference loop:
-    every column bit for bit, or the same error type and message."""
+    """run_closed_loop and run_open_loop equal the per-step reference loop,
+    every column bit for bit, or fail before step 0."""
 
     @settings(max_examples=60, deadline=None)
     @example(scenario=EDGE_RUNS[0])
@@ -457,11 +545,12 @@ class TestScalarKernel:
     @example(scenario=EDGE_RUNS[2])
     @example(scenario=EDGE_RUNS[3])
     @example(scenario=EDGE_RUNS[4])
+    @example(scenario=replace(LOW_READINGS["h_5_min"], duration=30.0))
     @given(scenario=st.builds(Scenario, patient=st.integers(1, 13), controller=KERNEL_CONTROLLERS,
                               duration=st.floats(0.1, 2.0), h=STEPS, noise=st.floats(0.0, 8.0),
                               disturbance=PULSES, seed=st.integers(0, 2**32)))
     def test_closed_loop_equals_reference(self, scenario):
-        assert _outcome(run_closed_loop, scenario) == _outcome(_reference, scenario)
+        assert _outcome(run_closed_loop, scenario) == _outcome(reference_run, scenario)
 
     @settings(max_examples=60, deadline=None)
     @given(patient=st.integers(1, 13).map(cohort_member),
@@ -471,52 +560,134 @@ class TestScalarKernel:
                                         disturbance, seed):
         breakpoints = ((0.0, profile),) if isinstance(profile, float) else profile
         assert _outcome(run_open_loop, patient, profile, duration, h, noise, disturbance, seed) \
-            == _outcome(engine._reference_run, Scenario(patient, duration=duration, h=h,
-                                                        noise=noise, disturbance=disturbance,
-                                                        seed=seed), breakpoints)
+            == _outcome(reference_run, Scenario(patient, duration=duration, h=h, noise=noise,
+                                                disturbance=disturbance, seed=seed), breakpoints)
+
+    @pytest.mark.parametrize("kind", LOW_READINGS)
+    def test_low_reading_runs_to_the_end(self, kind):
+        # The reading falls below the nominal curve's reach, where the
+        # inverse saturates: every column stays finite to the end.
+        scenario = LOW_READINGS[kind]
+        traj = run_closed_loop(scenario)
+        assert len(traj) == scenario.n_steps
+        assert min(traj.bis_filtered) < 93.1 - 87.5
+        assert all(math.isfinite(v) for name in TRAJECTORY_FIELDS for v in getattr(traj, name))
+        assert repr(asdict(traj)) == repr(asdict(reference_run(scenario)))
+
+    def test_pulsed_low_reading_settles_on_the_target(self):
+        traj = run_closed_loop(LOW_READINGS["pulse_minus_60"])
+        assert f"{traj.bis_true[-1]:.2f}" == "49.76"
 
     @pytest.mark.parametrize("kind", FAILING)
-    def test_failing_closed_loop_raises_the_reference_error(self, kind):
-        got = _outcome(run_closed_loop, FAILING[kind])
-        assert got == _outcome(_reference, FAILING[kind])
-        assert isinstance(got, tuple)
+    def test_rejected_before_step_0(self, kind, monkeypatch):
+        scenario, error, message = FAILING[kind]
+        got_type, got = _rejected(monkeypatch, run_closed_loop, scenario)
+        assert got_type is error
+        assert re.search(message, got)
+
+    @pytest.mark.parametrize("kind", ["hill_overflow", "hill_non_finite"])
+    def test_reference_fails_part_way_where_the_run_is_rejected(self, kind):
+        # The bound is not idle: without it, the per-step functions raise
+        # after the run has started.
+        with pytest.raises(ModelError, match="Hill curve overflows"):
+            reference_run(FAILING[kind][0])
 
     @pytest.mark.parametrize("patient, rate", [(cohort_member(13), 1e300),
                                                (HILL_NON_FINITE_PATIENT, 1e156)])
-    def test_failing_open_loop_raises_the_reference_error(self, patient, rate):
-        got = _outcome(run_open_loop, patient, rate, 5.0)
-        assert got == _outcome(engine._reference_run, Scenario(patient, duration=5.0),
-                               ((0.0, rate),))
-        assert got[0] is ModelError and "Hill curve overflows" in got[1]
+    def test_open_loop_rejected_before_step_0(self, patient, rate, monkeypatch):
+        # The reference fails part-way: the run is rejected before step 0.
+        with pytest.raises(ModelError, match="Hill curve overflows"):
+            reference_run(Scenario(patient, duration=5.0), ((0.0, rate),))
+        got_type, got = _rejected(monkeypatch, run_open_loop, patient, rate, 5.0)
+        assert got_type is ModelError
+        assert got.startswith(f"under u <= {rate:.6g} mg/min ce may reach ")
 
-    @pytest.mark.parametrize("kind", FAILING)
-    def test_a_failure_the_reference_does_not_share_is_a_runtime_error(self, kind, monkeypatch):
-        # the loop detects each failing case itself, then asks the reference
-        monkeypatch.setattr(engine, "_reference_run", lambda *args: None)
-        with pytest.raises(RuntimeError, match=r"a fast loop failed at step \d+; "
-                                               r"its reference did not"):
-            run_closed_loop(FAILING[kind])
+    @pytest.mark.parametrize("profile", [(), ((1.0, 0.0),)])
+    def test_open_loop_without_a_rate_runs(self, profile):
+        # The profile's largest rate bounds the plant; without one it is 0.
+        traj = run_open_loop(cohort_member(13), profile, duration=2.0)
+        assert set(traj.u) == {0.0}
+        assert set(traj.bis_true) == {93.1}
 
-    @pytest.mark.parametrize("kind", FAILING)
-    def test_a_lane_failure_the_reference_does_not_share_is_a_runtime_error(self, kind,
-                                                                           monkeypatch):
-        monkeypatch.setattr(engine, "_reference_run", lambda *args: None)
-        with pytest.raises(RuntimeError, match=r"a fast loop failed at step \d+; "
-                                               r"its reference did not"):
-            engine._closed_loop_lanes([FAILING[kind]])
 
-    @pytest.mark.parametrize("kind", FAILING)
-    def test_a_reference_error_at_another_step_is_a_runtime_error(self, kind, monkeypatch):
-        scenario = FAILING[kind]
-        step = _failure(scenario)[0]
+# Extreme settings the bound must hold under: gains and pump limits spread
+# log-uniformly over the float range, and patients as steep as gamma = 50.
+def _log_uniform(lowest, highest):
+    return st.floats(math.log10(lowest), math.log10(highest)).map(lambda e: 10.0 ** e)
 
-        def reference(*args):
-            raise ModelError(f"{engine._failure_prefix(step + 1, scenario.h)}Hill curve overflows")
 
-        monkeypatch.setattr(engine, "_reference_run", reference)
-        with pytest.raises(RuntimeError, match=rf"a fast loop failed at step {step}; "
-                                               r"its reference did not"):
-            run_closed_loop(scenario)
+GAINS = st.one_of(st.just(0.0), _log_uniform(1e-10, 1e308))
+EXTREME_CONTROLLERS = st.builds(
+    ControllerConfig, target_bis=st.floats(30.0, 70.0),
+    tf1=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    tf2=st.one_of(st.just(0.0), st.floats(0.0, 5.0)), kp=GAINS, ki=GAINS,
+    u_max=_log_uniform(1e-10, 1e300), nominal_e0=st.one_of(st.none(), st.floats(80.0, 100.0)))
+STEEP_PATIENTS = st.builds(lambda p, gamma: replace(p, hill=replace(p.hill, gamma=gamma)),
+                           st.integers(1, 13).map(cohort_member), st.floats(0.5, 50.0))
+EXTREME_SCENARIOS = st.builds(
+    Scenario, patient=STEEP_PATIENTS, controller=EXTREME_CONTROLLERS,
+    duration=st.floats(0.1, 2.0), h=STEPS, noise=st.floats(0.0, 8.0), disturbance=PULSES,
+    seed=st.integers(0, 2**32))
+
+
+def _finite_columns(traj):
+    return all(math.isfinite(v) for name in TRAJECTORY_FIELDS for v in getattr(traj, name)
+               if v is not None)
+
+
+@pytest.mark.filterwarnings("error")
+class TestBound:
+    """Under extreme gains, pump limits, rates and patient curves, a run
+    either fails before step 0, naming no step, or runs with every column
+    finite and equal to the per-step reference's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(scenario=EXTREME_SCENARIOS)
+    def test_closed_loop(self, scenario):
+        try:
+            traj = run_closed_loop(scenario)
+        except (ModelError, ControllerError) as e:
+            assert not STEP.search(str(e))
+            return
+        assert _finite_columns(traj)
+        assert repr(asdict(traj)) == repr(asdict(reference_run(scenario)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(patient=STEEP_PATIENTS, rates=st.lists(_log_uniform(1e-10, 1e300), min_size=1,
+                                                  max_size=3),
+           duration=st.floats(0.1, 2.0), h=STEPS, noise=st.floats(0.0, 8.0), disturbance=PULSES)
+    def test_open_loop(self, patient, rates, duration, h, noise, disturbance):
+        profile = tuple((0.5 * i, rate) for i, rate in enumerate(rates))
+        try:
+            traj = run_open_loop(patient, profile, duration, h, noise, disturbance)
+        except ModelError as e:
+            assert not STEP.search(str(e))
+            return
+        assert _finite_columns(traj)
+        assert repr(asdict(traj)) == repr(asdict(reference_run(
+            Scenario(patient, duration=duration, h=h, noise=noise, disturbance=disturbance),
+            profile)))
+
+    @settings(max_examples=40, deadline=None)
+    @example(shared=(1.0, 1 / 60, ()), lanes=[(cohort_member(13), ControllerConfig(kp=1e308))])
+    @given(shared=st.tuples(st.floats(0.1, 2.0), STEPS, PULSES),
+           lanes=st.lists(st.tuples(STEEP_PATIENTS, EXTREME_CONTROLLERS), min_size=1,
+                          max_size=4))
+    def test_lanes(self, shared, lanes):
+        duration, h, disturbance = shared
+        scenarios = [Scenario(patient, controller, duration, h, disturbance=disturbance)
+                     for patient, controller in lanes]
+        failing = next((s for s in scenarios if _error(s)), None)
+        if failing is not None:
+            with pytest.raises(BisloopError) as info:
+                engine._closed_loop_lanes(scenarios)
+            assert (type(info.value), str(info.value)) == _named_error(failing)
+            assert not STEP.search(str(info.value))
+            return
+        out = engine._closed_loop_lanes(scenarios)
+        assert np.isfinite(out).all()
+        assert [repr(column) for column in out.T.tolist()] == \
+            [repr(reference_run(s).bis_measured.tolist()) for s in scenarios]
 
 
 # One _closed_loop_lanes input: noise-free scenarios that share h, the step
@@ -538,26 +709,31 @@ CLAMP_LANES = [Scenario(patient=1 + 3 * i, duration=1.0, disturbance=CLAMP_PULSE
                                       ControllerConfig(kp=0.0, ki=0.0),
                                       ControllerConfig(u_max=0.5),
                                       ControllerConfig(target_bis=70.0, tf2=0.0)))]
+# Lanes whose filtered BIS falls below the nominal curve's reach at step 1.
+LOW_READING_LANES = [replace(LOW_READINGS["h_5_min"], patient=p, duration=30.0)
+                     for p in (1, 9, 13)]
 
 
+@pytest.mark.filterwarnings("error")
 class TestLanes:
-    """Each lane's bis_measured equals run_closed_loop's bit for bit; a failing
-    lane raises run_closed_loop's error, named."""
+    """Each lane's bis_measured equals run_closed_loop's bit for bit, with no
+    numpy warning; a lane rejected before step 0 raises run_closed_loop's
+    error, named."""
 
     @settings(max_examples=40, deadline=None)
     @example(scenarios=CLAMP_LANES)
     @example(scenarios=CLAMP_LANES[-1:])
-    @example(scenarios=[_runs_through(FAILING["out_of_domain"]), FAILING["out_of_domain"]])
-    @example(scenarios=[_runs_through(FAILING["hill_overflow"]), FAILING["hill_overflow"]])
+    @example(scenarios=LOW_READING_LANES)
+    @example(scenarios=[_admitted(FAILING["hill_overflow"][0]), FAILING["hill_overflow"][0]])
+    @example(scenarios=[_admitted(FAILING["gain_overflow"][0]), FAILING["gain_overflow"][0]])
     @given(scenarios=LANE_SCENARIOS)
     def test_equals_run_closed_loop_bit_for_bit(self, scenarios):
-        failures = [(f[0], j) for j, f in enumerate(map(_failure, scenarios)) if f]
-        if failures:
-            # The earliest step fails first; at one step, the first lane.
-            _, j = min(failures)
+        # The first lane rejected, in input order, raises.
+        failing = next((s for s in scenarios if _error(s)), None)
+        if failing is not None:
             with pytest.raises(BisloopError) as info:
                 engine._closed_loop_lanes(scenarios)
-            assert (type(info.value), str(info.value)) == _named_error(scenarios[j])
+            assert (type(info.value), str(info.value)) == _named_error(failing)
             return
         lanes = engine._closed_loop_lanes(scenarios)
         assert [repr(column) for column in lanes.T.tolist()] == \
@@ -598,7 +774,7 @@ class TestTrajectoryColumns:
     @pytest.mark.parametrize("run", [
         run_closed_loop,
         lambda s: run_many([s, replace(s, patient=4)])[1],
-        engine._reference_run,
+        reference_run,
     ], ids=["run_closed_loop", "run_many", "reference"])
     def test_closed_loop_columns_are_double_arrays(self, run):
         traj = run(Scenario(patient=13, duration=1.0, noise=1.0, seed=2))
@@ -609,7 +785,7 @@ class TestTrajectoryColumns:
 
     @pytest.mark.parametrize("run", [
         lambda s, profile: run_open_loop(s.patient, profile, s.duration),
-        lambda s, profile: engine._reference_run(s, profile),
+        reference_run,
     ], ids=["run_open_loop", "reference"])
     def test_open_loop_columns(self, run):
         traj = run(Scenario(patient=13, duration=1.0), self.PROFILE)
@@ -620,7 +796,6 @@ class TestTrajectoryColumns:
                 assert all(v is None for v in column), name
             else:
                 assert type(column) is array and column.typecode == "d", name
-
 
 class TestMemoryBudget:
     """Traced memory of a 14 400-step run, per step: what its Trajectory
@@ -674,7 +849,7 @@ class TestDiscretePkCache:
         run_closed_loop(scenario)
         run_closed_loop(replace(scenario, patient=cohort_member(3)))
         engine._closed_loop_lanes([scenario])
-        engine._reference_run(scenario)
+        reference_run(scenario)
         info = engine._discrete_pk.cache_info()
         # the plant and the internal model, built once and then reused
         assert (info.misses, info.hits) == (2, 6)
@@ -682,49 +857,33 @@ class TestDiscretePkCache:
             engine._discrete_pk(scenario.patient.pk, scenario.h)
 
 
-def _scalar_error(scenario):
-    """run_closed_loop's error type, step prefix and message body."""
-    with pytest.raises(BisloopError) as info:
-        run_closed_loop(scenario)
-    prefix, body = str(info.value).split(": ", 1)
-    assert re.fullmatch(r"step \d+ \(t=\d+\.\d{4} min\)", prefix)
-    return type(info.value), prefix, body
-
-
-def _named_error(scenario):
-    """The error run_many and the lanes raise for scenario: its type, and
-    run_closed_loop's message with the run named in front."""
-    exc_type, prefix, body = _scalar_error(scenario)
-    return exc_type, (f"patient {scenario.patient.id}, "
-                      f"tf2={scenario.controller.tf2:.6g} min: {prefix}: {body}")
-
-
 @pytest.mark.filterwarnings("error")
 class TestFailureParity:
-    """A failing lane raises what run_closed_loop raises for it: the same type,
-    step and message, the lane named in front, and no numpy warning."""
+    """A scenario rejected before step 0 raises the same error, named, from
+    run_many and from the sweep's lanes, starts no run, and warns nothing."""
 
     @pytest.mark.parametrize("kind", FAILING)
-    def test_run_many(self, kind):
-        failing = FAILING[kind]
-        exc_type, prefix, body = _scalar_error(failing)
-        with pytest.raises(BisloopError) as info:
-            run_many([_runs_through(failing), failing])
-        assert type(info.value) is exc_type
-        assert str(info.value) == \
-            f"patient {failing.patient.id}, tf2={failing.controller.tf2:.6g} min: {prefix}: {body}"
+    def test_run_many(self, kind, monkeypatch):
+        failing = FAILING[kind][0]
+        assert _rejected(monkeypatch, run_many, [_admitted(failing), failing]) == \
+            _named_error(failing)
 
-    @pytest.mark.parametrize("kind", FAILING)
-    def test_tune_tf2(self, kind):
-        template, p13 = FAILING[kind], cohort_member(13)
+    @pytest.mark.parametrize("kind", LANE_FAILING)
+    def test_lanes(self, kind, monkeypatch):
+        failing = FAILING[kind][0]
+        assert _rejected(monkeypatch, engine._closed_loop_lanes, [_admitted(failing), failing]) \
+            == _named_error(failing)
+
+    @pytest.mark.parametrize("kind", LANE_FAILING)
+    def test_tune_tf2(self, kind, monkeypatch):
+        template, p13 = FAILING[kind][0], cohort_member(13)
         # the sweep's first lane: the template on patient 13, unfiltered
-        exc_type, prefix, body = _scalar_error(replace(
+        exc_type, message = _named_error(replace(
             template, patient=p13,
             controller=replace(template.controller, tf2=0.0, nominal_e0=None)))
-        with pytest.raises(BisloopError) as info:
-            tune_tf2([0.5], cohort=[p13], template=template)
-        assert type(info.value) is exc_type
-        assert str(info.value) == f"patient 13, tf2=0 min: {prefix}: {body}"
+        assert _rejected(monkeypatch, tune_tf2, [0.5], 0.3, [p13], template) == \
+            (exc_type, message)
+        assert message.startswith("patient 13, tf2=0 min: ")
 
     @pytest.mark.parametrize("ce50", [1e200, 1e-200])
     def test_ce50_extremes_rejected_before_any_run(self, ce50):

@@ -221,12 +221,20 @@ class TestTuneTf2:
         assert all(type(d) is float for d in result.d_values)
         assert type(result.selected_tf2) is float
 
-    def test_failing_lane_named_with_step_and_time(self):
+    def test_low_reading_lanes_run_to_the_end(self):
+        # At h = 5 min each lane's filtered BIS falls below the nominal
+        # curve's reach at step 1, where the inverse saturates: the sweep runs.
         template = replace(default_tuning_scenario(), h=5.0)
-        with pytest.raises(ControllerError,
-                           match=r"^patient \d+, tf2=0 min: step 1 \(t=5\.0000 min\): "
-                                 r"inverse Hill out of domain"):
+        result = tune_tf2([0.5], threshold=math.inf, template=template)
+        assert all(math.isfinite(d) for d in result.d_values)
+
+    def test_rejected_lane_named_without_a_step(self):
+        # kp * err could overflow: the first lane is rejected before step 0
+        template = replace(default_tuning_scenario(), controller=ControllerConfig(kp=1e308))
+        with pytest.raises(ControllerError, match=r"^patient 1, tf2=0 min: kp=1e\+308, ") \
+                as info:
             tune_tf2([0.5], template=template)
+        assert "step" not in str(info.value)
 
     def test_lane_failing_before_its_first_step_named(self):
         # patient 10's awake BIS, 83.1, is the first below the target
